@@ -1,7 +1,8 @@
 // Reproduces Fig. 8: "1st and 2nd approaches results".
 //
 // For every EEELib operation property the paper reports, per approach:
-//   V.T.(s)  verification time (AR-automaton generation + simulation)
+//   V.T.(s)  verification time (AR-automaton generation and table compile
+//            + simulation)
 //   T.C.     number of constrained-random test cases applied
 //   C.(%)    percentage of the documented return values observed
 //
@@ -86,7 +87,7 @@ int main() {
     // clock cycles").
     ExperimentConfig a1;
     a1.max_test_cases = a1_tc;
-    a1.mode = sctc::MonitorMode::kSynthesizedAutomaton;
+    a1.mode = sctc::MonitorMode::kCompiled;
     a1.seed = 20080310;
     const ExperimentResult r1 = run_with_microprocessor(op, a1);
     print_cell(r1);
@@ -101,7 +102,7 @@ int main() {
       ExperimentConfig a2;
       a2.max_test_cases = a2_tc;
       a2.time_bound = bound;
-      a2.mode = sctc::MonitorMode::kSynthesizedAutomaton;
+      a2.mode = sctc::MonitorMode::kCompiled;
       a2.seed = 20080310;
       const ExperimentResult r2 = run_with_esw_model(op, a2);
       print_cell(r2);

@@ -57,7 +57,7 @@ int main() {
     ExperimentConfig config;
     config.max_test_cases = 2000;
     config.time_bound = 10000;
-    config.mode = sctc::MonitorMode::kSynthesizedAutomaton;
+    config.mode = sctc::MonitorMode::kCompiled;
     const ExperimentResult r = run_with_esw_model(op, config);
     std::printf("[simulation + SCTC]      %-23s (%.2fs) %llu test cases, "
                 "coverage %.0f%%\n",

@@ -11,25 +11,11 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "cpu/codegen.hpp"
-#include "cpu/cpu.hpp"
-#include "esw/esw_model.hpp"
 #include "esw/interpreter.hpp"
-#include "fault/fault_engine.hpp"
-#include "mem/address_space.hpp"
-#include "minic/sema.hpp"
-#include "obs/trace.hpp"
-#include "stimulus/random_inputs.hpp"
 
 namespace esv::campaign {
 
 namespace {
-
-std::uint32_t memory_bytes(const minic::Program& program) {
-  // Same rounding as the esv-verify single-run path: data segment rounded up
-  // to a 4 KiB page.
-  return (program.data_segment_end() + 0xFFFu) & ~0xFFFu;
-}
 
 void configure_inputs(const spec::SpecFile& specfile,
                       stimulus::RandomInputProvider& inputs) {
@@ -89,29 +75,126 @@ void backoff_before_retry(std::uint64_t seed, unsigned attempt) {
   std::this_thread::sleep_for(std::chrono::duration<double>(delay));
 }
 
-/// Immutable per-worker verification stack. Each worker compiles its own
-/// copy of the program so no AST, lowering, or code image is ever shared
-/// between threads (the front end has no synchronization and needs none).
-struct VerifStack {
-  explicit VerifStack(const CampaignConfig& config)
-      : program(minic::compile(config.program_source)) {
-    if (config.approach == 2) {
-      lowered = esw::lower_program(program);
-    } else {
-      image = cpu::compile_to_image(program);
-    }
-  }
-
-  minic::Program program;
-  std::optional<esw::EswProgram> lowered;  // approach 2
-  std::optional<cpu::CodeImage> image;     // approach 1
-};
-
 }  // namespace
 
-struct SeedRunner::Stack : VerifStack {
-  using VerifStack::VerifStack;
-};
+CompiledProgram::CompiledProgram(const CampaignConfig& config)
+    : program(minic::compile(config.program_source)) {
+  if (config.approach == 2) {
+    lowered = esw::lower_program(program);
+  } else {
+    image = cpu::compile_to_image(program);
+  }
+}
+
+SeedStack::SeedStack(const CampaignConfig& config, const CampaignSetup& setup,
+                     const CompiledProgram& program, std::uint64_t seed,
+                     obs::MetricsRegistry* metrics, obs::TraceWriter* trace)
+    : seed(seed),
+      memory(program.memory_bytes()),
+      inputs(seed),
+      checker(sim, "sctc", config.mode),
+      config_(config),
+      metrics_(metrics),
+      trace_(trace),
+      deadline_(std::chrono::steady_clock::now() +
+                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(
+                        config.seed_timeout_seconds))) {
+  configure_inputs(setup.specfile, inputs);
+  if (!setup.plan.empty()) {
+    faults.emplace(setup.plan, seed, config.fault_log_limit);
+    faults->bind_memory(memory);
+  }
+  if (trace != nullptr) trace->seed_start(seed);
+  sim.set_metrics(metrics);
+  checker.set_metrics(metrics);
+  checker.set_trace(trace);
+  if (faults) {
+    faults->set_metrics(metrics);
+    faults->set_trace(trace);
+  }
+  spec::apply_spec(setup.specfile, program.program, memory, checker);
+  checker.set_stop_on_violation(true);
+  if (config.witness_depth != 0) {
+    checker.set_witness_depth(config.witness_depth);
+  }
+
+  // Registration order matters: the checker's trigger method is created
+  // first, so on every step the monitors see the pre-fault state and the
+  // supervisor's fault engine then injects for that step.
+  if (config.approach == 2) {
+    model_.emplace(sim, "esw", program.program, *program.lowered, memory,
+                   inputs);
+  } else {
+    clock_.emplace(sim, "clk", sim::Time::ns(10));
+    core_.emplace(sim, "cpu", *program.image, memory, inputs, *clock_);
+    core_->set_stop_on_halt(true);
+    if (faults) faults->bind_clock(*clock_);
+  }
+  checker.bind_trigger(step_event());
+}
+
+sim::Event& SeedStack::step_event() {
+  return model_ ? model_->pc_event() : clock_->posedge_event();
+}
+
+void SeedStack::run() {
+  // Cooperative wall-clock watchdog. A worker thread cannot be killed, so
+  // the deadline is polled from the supervisor; the check runs every 1024
+  // events to keep it off the hot path.
+  const bool watchdog = config_.seed_timeout_seconds > 0.0;
+  sim.create_method(
+      "supervisor",
+      [this, watchdog, watchdog_tick = std::uint32_t{0}]() mutable {
+        if (faults) faults->on_step(checker.steps());
+        if (watchdog && (++watchdog_tick & 1023u) == 0 &&
+            std::chrono::steady_clock::now() >= deadline_) {
+          timed_out_ = true;
+          sim.stop();
+          return;
+        }
+        const std::uint64_t executed =
+            model_ ? model_->interpreter().steps_executed() : clock_->cycles();
+        if ((model_ && model_->finished()) || checker.all_decided() ||
+            executed >= config_.max_steps) {
+          sim.stop();
+        }
+      },
+      {&step_event()}, /*run_at_start=*/false);
+  sim.run();
+  if (model_) {
+    finished_ = model_->finished();
+    statements_ = model_->interpreter().steps_executed();
+  } else {
+    finished_ = core_->halted() && !core_->trapped();
+    statements_ = clock_->cycles();
+  }
+}
+
+std::string SeedStack::trap_message() const {
+  return core_ && core_->trapped() ? core_->trap_message() : std::string();
+}
+
+void SeedStack::finish() {
+  if (metrics_ != nullptr) {
+    metrics_->counter("stimulus.draws").add(inputs.draw_count());
+    metrics_->counter(model_ ? "esw.statements" : "cpu.cycles")
+        .add(statements_);
+  }
+  if (trace_ != nullptr) {
+    std::uint64_t validated = 0;
+    std::uint64_t violated = 0;
+    std::uint64_t pending = 0;
+    for (const sctc::PropertyRecord& record : checker.properties()) {
+      switch (record.verdict()) {
+        case temporal::Verdict::kValidated: ++validated; break;
+        case temporal::Verdict::kViolated: ++violated; break;
+        case temporal::Verdict::kPending: ++pending; break;
+      }
+    }
+    trace_->seed_end(seed, checker.steps(), validated, violated, pending);
+  }
+}
 
 CampaignSetup prepare_campaign(const CampaignConfig& config) {
   if (config.approach != 1 && config.approach != 2) {
@@ -131,8 +214,8 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
   // Probe compile: surfaces program compile errors, unresolvable
   // propositions, and property parse errors, and fixes the property /
   // proposition registration order every seed will reproduce.
-  VerifStack probe(config);
-  mem::AddressSpace memory(memory_bytes(probe.program));
+  CompiledProgram probe(config);
+  mem::AddressSpace memory(probe.memory_bytes());
   sim::Simulation sim;
   sctc::TemporalChecker checker(sim, "sctc", config.mode);
   spec::apply_spec(setup.specfile, probe.program, memory, checker);
@@ -162,11 +245,11 @@ SeedRunner::SeedRunner(const CampaignConfig& config,
   // records a structured error per seed, so the campaign always finishes
   // and sibling workers are unaffected.
   try {
-    stack_ = std::make_unique<Stack>(config);
+    program_ = std::make_unique<CompiledProgram>(config);
   } catch (const std::exception& e) {
-    stack_error_ = std::string("worker setup failed: ") + e.what();
+    program_error_ = std::string("worker setup failed: ") + e.what();
   } catch (...) {
-    stack_error_ = "worker setup failed: unknown exception";
+    program_error_ = "worker setup failed: unknown exception";
   }
 }
 
@@ -176,32 +259,7 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   const auto started = std::chrono::steady_clock::now();
   SeedResult result;
   result.seed = seed;
-
-  const spec::SpecFile& specfile = setup_.specfile;
-  const fault::FaultPlan& plan = setup_.plan;
   const CampaignConfig& config = config_;
-  Stack& stack = *stack_;
-
-  // Cooperative wall-clock watchdog. A worker thread cannot be killed, so
-  // the deadline is polled from the supervisor; the check runs every 1024
-  // events to keep it off the hot path.
-  const bool watchdog = config.seed_timeout_seconds > 0.0;
-  const auto deadline =
-      started + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        watchdog ? config.seed_timeout_seconds : 0.0));
-  std::uint32_t watchdog_tick = 0;
-  bool timed_out = false;
-
-  mem::AddressSpace memory(memory_bytes(stack.program));
-  stimulus::RandomInputProvider inputs(seed);
-  configure_inputs(specfile, inputs);
-
-  std::optional<fault::FaultEngine> faults;
-  if (!plan.empty()) {
-    faults.emplace(plan, seed, config.fault_log_limit);
-    faults->bind_memory(memory);
-  }
 
   // Observability sinks are per seed: a private registry and tracer, so no
   // cross-thread state exists and the snapshots/traces are pure functions of
@@ -210,22 +268,9 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   if (config.collect_metrics) metrics.emplace();
   const bool tracing = config.capture_traces || !config.trace_dir.empty();
   obs::TraceWriter trace;
-  if (tracing) trace.seed_start(seed);
-
-  sim::Simulation sim;
-  if (metrics) sim.set_metrics(&*metrics);
-  sctc::TemporalChecker checker(sim, "sctc", config.mode);
-  if (metrics) checker.set_metrics(&*metrics);
-  if (tracing) checker.set_trace(&trace);
-  if (faults) {
-    if (metrics) faults->set_metrics(&*metrics);
-    if (tracing) faults->set_trace(&trace);
-  }
-  spec::apply_spec(specfile, stack.program, memory, checker);
-  checker.set_stop_on_violation(true);
-  if (config.witness_depth != 0) {
-    checker.set_witness_depth(config.witness_depth);
-  }
+  SeedStack stack(config, setup_, *program_, seed,
+                  metrics ? &*metrics : nullptr, tracing ? &trace : nullptr);
+  const sctc::TemporalChecker& checker = stack.checker;
 
   // Test-only divergence hook: when the variable names this seed (and the
   // mode carries compiled monitors), property 0's compiled monitor is forced
@@ -238,67 +283,19 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
         !checker.properties().empty()) {
       const sctc::PropertyRecord& record = checker.properties().front();
       if (record.automaton_states > 1) {
-        checker.corrupt_compiled_for_test(
+        stack.checker.corrupt_compiled_for_test(
             0, (record.compiled.state() + 1) % record.automaton_states);
       }
     }
   }
 
   try {
-    if (config.approach == 2) {
-      esw::EswModel model(sim, "esw", stack.program, *stack.lowered, memory,
-                          inputs);
-      // Registration order matters: the checker's trigger method is created
-      // first, so on every pc event the monitors step on the pre-fault state
-      // and the engine then injects for that step.
-      checker.bind_trigger(model.pc_event());
-      sim.create_method(
-          "supervisor",
-          [&] {
-            if (faults) faults->on_step(checker.steps());
-            if (watchdog && (++watchdog_tick & 1023u) == 0 &&
-                std::chrono::steady_clock::now() >= deadline) {
-              timed_out = true;
-              sim.stop();
-              return;
-            }
-            if (model.finished() || checker.all_decided() ||
-                model.interpreter().steps_executed() >= config.max_steps) {
-              sim.stop();
-            }
-          },
-          {&model.pc_event()}, /*run_at_start=*/false);
-      sim.run();
-      result.finished = model.finished();
-      result.statements = model.interpreter().steps_executed();
-    } else {
-      sim::Clock clock(sim, "clk", sim::Time::ns(10));
-      cpu::Cpu core(sim, "cpu", *stack.image, memory, inputs, clock);
-      core.set_stop_on_halt(true);
-      if (faults) faults->bind_clock(clock);
-      checker.bind_trigger(clock.posedge_event());
-      sim.create_method(
-          "supervisor",
-          [&] {
-            if (faults) faults->on_step(checker.steps());
-            if (watchdog && (++watchdog_tick & 1023u) == 0 &&
-                std::chrono::steady_clock::now() >= deadline) {
-              timed_out = true;
-              sim.stop();
-              return;
-            }
-            if (checker.all_decided() || clock.cycles() >= config.max_steps) {
-              sim.stop();
-            }
-          },
-          {&clock.posedge_event()}, /*run_at_start=*/false);
-      sim.run();
-      result.finished = core.halted() && !core.trapped();
-      result.statements = clock.cycles();
-      if (core.trapped()) {
-        result.error = "CPU trapped: " + core.trap_message();
-        result.error_kind = "sut";
-      }
+    stack.run();
+    result.finished = stack.finished();
+    result.statements = stack.statements();
+    if (const std::string trap = stack.trap_message(); !trap.empty()) {
+      result.error = "CPU trapped: " + trap;
+      result.error_kind = "sut";
     }
   } catch (const esw::AssertionFailure& e) {
     // Faults of the software under test: the verdicts reached so far are
@@ -319,7 +316,7 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
     result.error = e.what();
     result.error_kind = "infrastructure";
   }
-  if (timed_out) {
+  if (stack.timed_out()) {
     result.error = watchdog_message(config.seed_timeout_seconds);
     result.error_kind = "timeout";
     result.finished = false;
@@ -343,7 +340,7 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
     PropertyOutcome outcome;
     outcome.verdict = record.verdict();
     outcome.decided_at_step = record.decided_at_step;
-    if (!plan.empty()) {
+    if (!setup_.plan.empty()) {
       // A diverged monitor's verdict is unusable regardless of how the run
       // ended; pin it to the monitor-error class explicitly.
       outcome.fault_class =
@@ -354,7 +351,7 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
     result.properties.push_back(outcome);
   }
   result.steps = checker.steps();
-  result.draws = inputs.draw_count();
+  result.draws = stack.inputs.draw_count();
   // Factory indices are assigned in registration order, which apply_spec
   // fixes to the spec-file order — identical for every seed, so the counts
   // align across seeds (and with CampaignReport::coverage) by position.
@@ -362,30 +359,13 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   if (config.witness_depth != 0 && checker.any_violated()) {
     result.witness = checker.witness_table();
   }
-  if (faults) {
-    result.injected_faults = faults->injected_count();
-    result.fault_log = faults->log_text();
+  if (stack.faults) {
+    result.injected_faults = stack.faults->injected_count();
+    result.fault_log = stack.faults->log_text();
   }
-  if (metrics) {
-    metrics->counter("stimulus.draws").add(result.draws);
-    metrics->counter(config.approach == 2 ? "esw.statements" : "cpu.cycles")
-        .add(result.statements);
-    result.metrics = metrics->snapshot();
-  }
-  if (tracing) {
-    std::uint64_t validated = 0;
-    std::uint64_t violated = 0;
-    std::uint64_t pending = 0;
-    for (const PropertyOutcome& outcome : result.properties) {
-      switch (outcome.verdict) {
-        case temporal::Verdict::kValidated: ++validated; break;
-        case temporal::Verdict::kViolated: ++violated; break;
-        case temporal::Verdict::kPending: ++pending; break;
-      }
-    }
-    trace.seed_end(seed, result.steps, validated, violated, pending);
-    result.trace_jsonl = trace.text();
-  }
+  stack.finish();
+  if (metrics) result.metrics = metrics->snapshot();
+  if (tracing) result.trace_jsonl = trace.text();
   result.wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - started)
@@ -395,9 +375,9 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
 
 SeedResult SeedRunner::run_seed(std::uint64_t seed) {
   SeedResult result;
-  if (!stack_) {
+  if (!program_) {
     result.seed = seed;
-    result.error = stack_error_;
+    result.error = program_error_;
     result.error_kind = "infrastructure";
   } else {
     // Bounded retry: only infrastructure errors are retried — a fault of

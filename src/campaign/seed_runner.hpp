@@ -1,17 +1,21 @@
 // Per-seed campaign execution, factored out of the thread-pool runner so the
-// in-process pool (campaign::run) and the out-of-process worker shards
-// (src/dist/, tools/esv-worker) execute seeds through exactly the same code
-// path. Determinism across deployment shapes — any --jobs count, any
-// --workers count, or the plain in-process runner — follows from this
-// sharing: a SeedResult is a pure function of (CampaignConfig, seed)
-// regardless of which process or thread computed it.
+// in-process pool (campaign::run), the out-of-process worker shards
+// (src/dist/, tools/esv-worker) and the single run of esv-verify execute
+// seeds through exactly the same code path. Determinism across deployment
+// shapes — any --jobs count, any --workers count, or the plain in-process
+// runner — follows from this sharing: a SeedResult is a pure function of
+// (CampaignConfig, seed) regardless of which process or thread computed it.
 //
 // Split of responsibilities:
 //   prepare_campaign()    validate the whole configuration once (spec parse,
 //                         fault-plan parse + resolve, property probe); throws
 //                         on configuration errors before any seed runs
-//   SeedRunner            one per worker thread; owns an isolated
-//                         verification stack and runs seeds with the bounded
+//   CompiledProgram       one thread's private compile of the program
+//   SeedStack             the one place a seed's stack is wired: memory,
+//                         stimulus, faults, kernel, checker with the spec
+//                         applied, ESW model or clock + CPU, and supervisor
+//   SeedRunner            one per worker thread; runs each seed's SeedStack
+//                         with error classification and the bounded
 //                         infrastructure-retry policy
 //   make_report_skeleton  the config-echo half of a CampaignReport
 //   finalize_report       deterministic aggregation over report.seeds in
@@ -19,12 +23,22 @@
 //                         file writing — shared by the pool and the broker
 #pragma once
 
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "campaign/campaign.hpp"
+#include "cpu/codegen.hpp"
+#include "cpu/cpu.hpp"
+#include "esw/esw_model.hpp"
+#include "fault/fault_engine.hpp"
 #include "fault/fault_plan.hpp"
+#include "mem/address_space.hpp"
+#include "minic/sema.hpp"
+#include "sim/clock.hpp"
 #include "spec/specfile.hpp"
+#include "stimulus/random_inputs.hpp"
 
 namespace esv::campaign {
 
@@ -47,6 +61,77 @@ struct CampaignSetup {
 /// std::invalid_argument, ... on configuration errors.
 CampaignSetup prepare_campaign(const CampaignConfig& config);
 
+/// One thread's compile of the campaign program. Each worker compiles its
+/// own copy so no AST, lowering, or code image is ever shared between
+/// threads (the front end has no synchronization and needs none).
+struct CompiledProgram {
+  explicit CompiledProgram(const CampaignConfig& config);
+
+  /// Address-space size of every stack built on this program: the data
+  /// segment rounded up to a 4 KiB page.
+  std::uint32_t memory_bytes() const {
+    return (program.data_segment_end() + 0xFFFu) & ~0xFFFu;
+  }
+
+  minic::Program program;
+  std::optional<esw::EswProgram> lowered;  // approach 2
+  std::optional<cpu::CodeImage> image;     // approach 1
+};
+
+/// Everything one seed runs on. Construction builds the stack with the spec
+/// applied and the checker bound to the step event; run() adds the
+/// supervisor and runs the kernel. `setup`, `program` and the optional
+/// metrics and trace sinks must outlive the stack. Callers keep what is
+/// their own: error classification and retries (SeedRunner), waveforms,
+/// text output and exit codes (esv-verify).
+class SeedStack {
+ public:
+  SeedStack(const CampaignConfig& config, const CampaignSetup& setup,
+            const CompiledProgram& program, std::uint64_t seed,
+            obs::MetricsRegistry* metrics, obs::TraceWriter* trace);
+  SeedStack(const SeedStack&) = delete;
+  SeedStack& operator=(const SeedStack&) = delete;
+
+  /// The ESW model's pc event or the clock's posedge. Methods added on it
+  /// before run() see the same pre-fault state as the checker.
+  sim::Event& step_event();
+  /// Adds the supervisor (fault step, watchdog poll, stop when the program
+  /// finished, every property decided, or the budget ran out) and runs the
+  /// kernel. Faults of the software under test propagate as exceptions.
+  void run();
+
+  /// Outcome of a run() that returned (false / 0 when it threw): the
+  /// program ran to completion; statements (approach 2) or cycles executed.
+  bool finished() const { return finished_; }
+  std::uint64_t statements() const { return statements_; }
+  /// The seed watchdog (config.seed_timeout_seconds) stopped the run.
+  bool timed_out() const { return timed_out_; }
+  /// The CPU's trap message (approach 1); empty when it did not trap.
+  std::string trap_message() const;
+  /// Adds the stimulus and statement counters to the metrics registry and
+  /// ends the trace.
+  void finish();
+
+  const std::uint64_t seed;
+  mem::AddressSpace memory;
+  stimulus::RandomInputProvider inputs;
+  std::optional<fault::FaultEngine> faults;
+  sim::Simulation sim;
+  sctc::TemporalChecker checker;
+
+ private:
+  const CampaignConfig& config_;
+  obs::MetricsRegistry* metrics_;
+  obs::TraceWriter* trace_;
+  std::chrono::steady_clock::time_point deadline_;
+  std::optional<esw::EswModel> model_;  // approach 2
+  std::optional<sim::Clock> clock_;     // approach 1
+  std::optional<cpu::Cpu> core_;        // approach 1
+  bool finished_ = false;
+  bool timed_out_ = false;
+  std::uint64_t statements_ = 0;
+};
+
 /// One per worker thread. Construction compiles a private copy of the
 /// program (no AST, lowering, or code image is ever shared between threads);
 /// a construction failure is latched and reported per seed as an
@@ -64,13 +149,12 @@ class SeedRunner {
   SeedResult run_seed(std::uint64_t seed);
 
  private:
-  struct Stack;
   SeedResult run_attempt(std::uint64_t seed);
 
   const CampaignConfig& config_;
   const CampaignSetup& setup_;
-  std::unique_ptr<Stack> stack_;
-  std::string stack_error_;
+  std::unique_ptr<CompiledProgram> program_;
+  std::string program_error_;
 };
 
 /// Fills the configuration-echo fields of a report (seed range, approach,

@@ -36,7 +36,8 @@ struct ExperimentConfig {
   std::uint64_t max_steps = 200'000'000;
   /// Property time bound; empty = pure LTL (the No-TB columns).
   std::optional<std::uint32_t> time_bound;
-  /// Monitor mode; kSynthesizedAutomaton reproduces the AR-generation cost.
+  /// Monitor mode; kCompiled reproduces the AR-generation cost (synthesis
+  /// plus the table compile).
   sctc::MonitorMode mode = sctc::MonitorMode::kProgression;
   /// Property shape (see eeprom.hpp).
   PropertyShape shape = PropertyShape::kGlobally;

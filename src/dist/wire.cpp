@@ -595,11 +595,15 @@ campaign::CampaignConfig config_from_json(const Json& json) {
   config.program_source = json.at("program_source").as_string();
   config.spec_text = json.at("spec_text").as_string();
   config.approach = static_cast<int>(json.at("approach").as_u64());
-  if (const auto mode = sctc::parse_monitor_mode(json.at("mode").as_string())) {
-    config.mode = *mode;
+  const std::string& mode = json.at("mode").as_string();
+  if (const auto parsed = sctc::parse_monitor_mode(mode)) {
+    config.mode = *parsed;
+  } else if (const std::string retired =
+                 sctc::retired_monitor_mode_message(mode);
+             !retired.empty()) {
+    throw WireError("config: " + retired);
   } else {
-    throw WireError("config: unknown monitor mode \"" +
-                    json.at("mode").as_string() + "\"");
+    throw WireError("config: unknown monitor mode \"" + mode + "\"");
   }
   config.max_steps = json.at("max_steps").as_u64();
   config.jobs = static_cast<unsigned>(json.u64_or("jobs", 1));

@@ -23,7 +23,6 @@ namespace {
 /// comparisons and expected-verdict checks are reported against it.
 constexpr sctc::MonitorMode kModes[] = {
     sctc::MonitorMode::kProgression,
-    sctc::MonitorMode::kSynthesizedAutomaton,
     sctc::MonitorMode::kCompiled,
     sctc::MonitorMode::kBoth,
 };

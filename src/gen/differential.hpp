@@ -3,7 +3,7 @@
 // A generated program is run through approach 1 (the microprocessor model,
 // checker triggered per clock posedge) and approach 2 (the derived ESW model,
 // checker triggered per statement), each crossed with every monitor mode
-// (progression / synthesized automaton / compiled / both). Any disagreement
+// (progression / compiled / both). Any disagreement
 // is a first-class bug in the toolchain, never in the generated program:
 //
 //   - a cell's verdict differs from the generation-time expected verdict

@@ -59,9 +59,8 @@ std::string config_digest(const campaign::CampaignConfig& config) {
   digest.feed(config.program_source);
   digest.feed(config.spec_text);
   digest.feed(static_cast<std::uint64_t>(config.approach));
-  // Enum values are digest-stable: progression=0 and automaton=1 match the
-  // pre-compiled-mode encoding, so old journals for those modes still
-  // resume; compiled=2 and both=3 extend the space.
+  // MonitorMode's values are explicit and digest-stable (progression=0,
+  // compiled=2, both=3), so journals of the remaining modes still resume.
   digest.feed(static_cast<std::uint64_t>(config.mode));
   digest.feed(config.max_steps);
   digest.feed(config.seed_lo);

@@ -24,7 +24,6 @@ bool compare(std::uint32_t lhs, Compare op, std::uint32_t rhs) {
 const char* monitor_mode_name(MonitorMode mode) {
   switch (mode) {
     case MonitorMode::kProgression: return "progression";
-    case MonitorMode::kSynthesizedAutomaton: return "automaton";
     case MonitorMode::kCompiled: return "compiled";
     case MonitorMode::kBoth: return "both";
   }
@@ -35,10 +34,15 @@ std::optional<MonitorMode> parse_monitor_mode(std::string_view name) {
   if (name == "progression" || name == "interpreted") {
     return MonitorMode::kProgression;
   }
-  if (name == "automaton") return MonitorMode::kSynthesizedAutomaton;
   if (name == "compiled") return MonitorMode::kCompiled;
   if (name == "both") return MonitorMode::kBoth;
   return std::nullopt;
+}
+
+std::string retired_monitor_mode_message(std::string_view name) {
+  if (name != "automaton") return {};
+  return "monitor mode \"automaton\" was retired; \"compiled\" runs the same "
+         "synthesized AR-automaton";
 }
 
 FaultClass classify_under_fault(temporal::Verdict verdict, bool run_errored) {
@@ -75,7 +79,6 @@ temporal::Verdict PropertyRecord::verdict() const {
   // In kBoth mode the interpreted monitor is the oracle, so progression is
   // consulted first; compiled alone answers in kCompiled mode.
   if (progression) return progression->verdict();
-  if (automaton_monitor) return automaton_monitor->verdict();
   if (compiled.valid()) return compiled.verdict();
   return temporal::Verdict::kPending;
 }
@@ -142,13 +145,6 @@ std::size_t TemporalChecker::add_property(const std::string& name,
   if (mode_ == MonitorMode::kProgression || mode_ == MonitorMode::kBoth) {
     record.progression = std::make_unique<temporal::ProgressionMonitor>(
         factory_, record.formula);
-  }
-  if (mode_ == MonitorMode::kSynthesizedAutomaton) {
-    record.automaton = std::make_unique<temporal::ArAutomaton>(
-        temporal::synthesize(factory_, record.formula));
-    record.automaton_states = record.automaton->state_count();
-    record.automaton_monitor =
-        std::make_unique<temporal::AutomatonMonitor>(*record.automaton);
   }
   if (mode_ == MonitorMode::kCompiled || mode_ == MonitorMode::kBoth) {
     // Synthesize, lower into the pool's flat arenas, and drop the source
@@ -309,16 +305,11 @@ void TemporalChecker::step_all() {
       }
     } else if (record.progression) {
       v = record.progression->step(valuation);
-    } else if (record.automaton_monitor) {
-      v = record.automaton_monitor->step(valuation);
     } else {
       v = record.compiled.step(prop_word_);
     }
-    if (trace_ != nullptr &&
-        (record.automaton_monitor || record.compiled.valid())) {
-      const std::uint32_t state = record.automaton_monitor
-                                      ? record.automaton_monitor->state()
-                                      : record.compiled.state();
+    if (trace_ != nullptr && record.compiled.valid()) {
+      const std::uint32_t state = record.compiled.state();
       if (state != record.traced_state) {
         trace_->automaton_state(steps_, record.name, state);
         record.traced_state = state;
@@ -378,7 +369,6 @@ void TemporalChecker::reset_monitors() {
   for (std::uint64_t& count : true_counts_) count = 0;
   for (PropertyRecord& record : properties_) {
     if (record.progression) record.progression->reset();
-    if (record.automaton_monitor) record.automaton_monitor->reset();
     if (record.compiled.valid()) record.compiled.reset();
     record.diverged = false;
     record.decided_at_step = 0;

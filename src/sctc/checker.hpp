@@ -6,26 +6,23 @@
 // the second — it evaluates all propositions once and advances every pending
 // property monitor by one temporal step.
 //
-// Monitors run in one of four modes, which produce identical verdicts:
-//   kProgression           — lazy formula rewriting, no build cost (the
-//                            "interpreted" mode)
-//   kSynthesizedAutomaton  — the paper's pipeline: the property is translated
-//                            into an AR-automaton (IL) ahead of time; each
-//                            step is then a table lookup. Generation time is
-//                            part of the reported verification time, which is
-//                            why the paper's TB-10000 column is dominated by
-//                            AR-automaton generation.
-//   kCompiled              — the AR-automaton lowered further into flat
-//                            transition tables (temporal/compiled.hpp):
-//                            propositions are evaluated once per step into a
-//                            uint64_t word, each monitor step is one dense
-//                            state x word-class lookup, and steady-state
-//                            stepping performs zero heap allocations.
-//   kBoth                  — interpreted and compiled monitors run in
-//                            lockstep; any verdict or obligation divergence
-//                            between them is recorded as a first-class
-//                            monitor error (docs/MONITORS.md). The verdicts
-//                            reported are the interpreted oracle's.
+// Monitors run in one of three modes, which produce identical verdicts:
+//   kProgression  — lazy formula rewriting, no build cost (the "interpreted"
+//                   mode)
+//   kCompiled     — the paper's pipeline: the property is translated into an
+//                   AR-automaton (IL) ahead of time and lowered into flat
+//                   transition tables (temporal/compiled.hpp). Propositions
+//                   are evaluated once per step into a uint64_t word, each
+//                   monitor step is one dense state x word-class lookup, and
+//                   steady-state stepping performs zero heap allocations.
+//                   Generation time is part of the reported verification
+//                   time, which is why the paper's TB-10000 column is
+//                   dominated by AR-automaton generation.
+//   kBoth         — interpreted and compiled monitors run in lockstep; any
+//                   verdict or obligation divergence between them is
+//                   recorded as a first-class monitor error
+//                   (docs/MONITORS.md). The verdicts reported are the
+//                   interpreted oracle's.
 #pragma once
 
 #include <cstdint>
@@ -47,21 +44,27 @@
 
 namespace esv::sctc {
 
+/// The values are digest-stable: the journal config digest and the serve
+/// cache key hash them, so a mode keeps its number for good. Value 1
+/// belonged to the retired `automaton` mode and stays unused.
 enum class MonitorMode : std::uint8_t {
-  kProgression,
-  kSynthesizedAutomaton,
-  kCompiled,
-  kBoth,
+  kProgression = 0,
+  kCompiled = 2,
+  kBoth = 3,
 };
 
-/// Stable lower-case mode name ("progression" / "automaton" / "compiled" /
-/// "both"), used by reports, the wire protocol, and the CLI.
+/// Stable lower-case mode name ("progression" / "compiled" / "both"), used
+/// by reports, the wire protocol, and the CLI.
 const char* monitor_mode_name(MonitorMode mode);
 
 /// Parses a mode name. Accepts the canonical names plus "interpreted" as an
 /// alias for progression (the --monitor-mode spelling). Returns nullopt for
 /// anything else.
 std::optional<MonitorMode> parse_monitor_mode(std::string_view name);
+
+/// For a mode name earlier versions accepted and this one retired
+/// ("automaton"), the message every input path reports; empty otherwise.
+std::string retired_monitor_mode_message(std::string_view name);
 
 /// Robustness classification of a property verdict under fault injection.
 /// Fault campaigns use it to separate software robustness bugs from
@@ -95,12 +98,9 @@ struct PropertyRecord {
   temporal::FormulaRef formula = nullptr;
 
   // Active monitors depend on the checker's mode: progression alone
-  // (kProgression), automaton + automaton_monitor (kSynthesizedAutomaton),
-  // compiled alone (kCompiled), or progression + compiled in lockstep
-  // (kBoth).
+  // (kProgression), compiled alone (kCompiled), or progression + compiled
+  // in lockstep (kBoth).
   std::unique_ptr<temporal::ProgressionMonitor> progression;
-  std::unique_ptr<temporal::ArAutomaton> automaton;
-  std::unique_ptr<temporal::AutomatonMonitor> automaton_monitor;
   temporal::CompiledMonitor compiled;
   /// kBoth only: the compiled fast path disagreed with the interpreted
   /// oracle at some step. The reported verdict stays the oracle's; the
@@ -111,7 +111,7 @@ struct PropertyRecord {
   std::uint64_t decided_at_step = 0;
   /// Simulation time when the verdict became final.
   sim::Time decided_at_time;
-  /// AR-automaton size (synthesized mode only).
+  /// AR-automaton size (kCompiled / kBoth only).
   std::size_t automaton_states = 0;
   /// Last AR-automaton state id written to the trace (tracing only).
   std::uint32_t traced_state = UINT32_MAX;
@@ -162,8 +162,8 @@ class TemporalChecker : public sim::Module {
   /// detach.
   void set_metrics(obs::MetricsRegistry* metrics);
   /// Attaches a JSONL tracer recording proposition value changes, monitor
-  /// verdict transitions, and (in synthesized-automaton mode) AR-automaton
-  /// state movement. Pass nullptr to detach.
+  /// verdict transitions, and (in kCompiled / kBoth mode) AR-automaton state
+  /// movement. Pass nullptr to detach.
   void set_trace(obs::TraceWriter* trace) { trace_ = trace; }
 
   /// Resets all monitors to their initial state (verdicts and step counts

@@ -182,6 +182,15 @@ RecoveredServe recover_serve(const std::string& path) {
         } else if (type == "accepted") {
           RecoveredServe::PendingJob job;
           job.job = json.at("job").as_u64();
+          // Checked before decoding, whose WireError would keep only the
+          // prefix and so truncate this acked job and every later record.
+          const std::string retired = sctc::retired_monitor_mode_message(
+              json.at("config").string_or("mode", ""));
+          if (!retired.empty()) {
+            recovered.retired_mode =
+                "job " + std::to_string(job.job) + ": " + retired;
+            return header_ok;
+          }
           job.tenant = json.at("tenant").as_string();
           job.key = json.at("key").as_string();
           job.config = dist::config_from_json(json.at("config"));
@@ -214,19 +223,17 @@ RecoveredServe recover_serve(const std::string& path) {
     return header_ok;
   };
 
+  const auto refused = [&] {
+    RecoveredServe refusal;
+    refusal.header_version = recovered.header_version;
+    refusal.retired_mode = recovered.retired_mode;
+    return refusal;
+  };
   recovered.snapshot_valid = scan_segment(snapshot_path_for(path), true,
                                           nullptr);
-  if (foreign_version) {
-    RecoveredServe refused;
-    refused.header_version = recovered.header_version;
-    return refused;
-  }
+  if (foreign_version || !recovered.retired_mode.empty()) return refused();
   const bool tail_ok = scan_segment(path, false, &recovered.valid_bytes);
-  if (foreign_version) {
-    RecoveredServe refused;
-    refused.header_version = recovered.header_version;
-    return refused;
-  }
+  if (foreign_version || !recovered.retired_mode.empty()) return refused();
   recovered.header_valid = recovered.snapshot_valid || tail_ok;
   if (!tail_ok) recovered.valid_bytes = 0;
 

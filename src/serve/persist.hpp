@@ -122,6 +122,10 @@ struct RecoveredServe {
   /// non-zero value != kServeJournalVersion identifies a journal written
   /// by a different build; the daemon refuses to start on it.
   std::uint64_t header_version = 0;
+  /// Non-empty when an acked job's record names a monitor mode this build
+  /// retired: the job can neither run nor be dropped, so the daemon refuses
+  /// to start on the journal (leaving its bytes untouched) with this text.
+  std::string retired_mode;
 
   struct PendingJob {
     std::uint64_t job = 0;

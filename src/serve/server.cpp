@@ -73,6 +73,13 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
           "; the content-digest algorithm changed) — move it aside to "
           "start fresh");
     }
+    if (!recovered.retired_mode.empty()) {
+      // Same refusal for an acked job in a retired monitor mode: this build
+      // cannot run it, and truncating it away would break the ack.
+      throw std::runtime_error("serve: journal " + options_.journal_path +
+                               " holds " + recovered.retired_mode +
+                               " — move it aside to start fresh");
+    }
     journal_ = std::make_unique<ServeJournal>(
         options_.journal_path, options_.journal_sync,
         recovered.header_valid ? recovered.valid_bytes : 0);

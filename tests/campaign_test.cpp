@@ -98,8 +98,9 @@ TEST(CampaignTest, DeterministicAcrossJobsCounts) {
 }
 
 TEST(CampaignTest, DeterministicAcrossJobsCountsAutomatonMode) {
+  // Compiled mode runs the synthesized AR-automaton.
   CampaignConfig config = blinker_config(1, 8, 1);
-  config.mode = sctc::MonitorMode::kSynthesizedAutomaton;
+  config.mode = sctc::MonitorMode::kCompiled;
   const CampaignReport serial = run(config);
   config.jobs = 8;
   const CampaignReport parallel = run(config);

@@ -386,7 +386,7 @@ TEST_P(HarnessTest, Approach2RunsReadProperty) {
   // The response property must never be violated: that would be a bug in
   // the EEPROM software ("all the tested properties were safe").
   EXPECT_NE(r.verdict, temporal::Verdict::kViolated);
-  if (GetParam() == sctc::MonitorMode::kSynthesizedAutomaton) {
+  if (GetParam() == sctc::MonitorMode::kCompiled) {
     EXPECT_GT(r.automaton_states, 10000u);  // grows with the bound
   }
 }
@@ -406,11 +406,9 @@ TEST_P(HarnessTest, Approach1RunsReadProperty) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, HarnessTest,
                          ::testing::Values(sctc::MonitorMode::kProgression,
-                                           sctc::MonitorMode::kSynthesizedAutomaton),
+                                           sctc::MonitorMode::kCompiled),
                          [](const ::testing::TestParamInfo<sctc::MonitorMode>& info) {
-                           return info.param == sctc::MonitorMode::kProgression
-                                      ? "progression"
-                                      : "automaton";
+                           return sctc::monitor_mode_name(info.param);
                          });
 
 TEST(HarnessTest2, AllOperationsSafeOnEswModel) {

@@ -161,6 +161,11 @@ struct DiffCase {
   std::vector<const char*> observables;
 };
 
+// Prints the case by name. Without it gtest dumps the raw bytes of the
+// struct, whose pointers change from run to run, and the test name that
+// gtest_discover_tests registers with CTest would change with every build.
+void PrintTo(const DiffCase& tc, std::ostream* os) { *os << tc.name; }
+
 class CpuVsEswTest : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(CpuVsEswTest, GlobalsAgree) {

@@ -283,7 +283,7 @@ TEST(DistWireTest, CampaignConfigRoundTripsLosslessly) {
   config.program_source = "void main(void) { }\n// \"quoted\"\n";
   config.spec_text = "prop p = x == 1\ncheck c: G p\n";
   config.approach = 1;
-  config.mode = sctc::MonitorMode::kSynthesizedAutomaton;
+  config.mode = sctc::MonitorMode::kCompiled;
   config.max_steps = 123456789012345ull;
   config.jobs = 3;
   config.witness_depth = 17;
@@ -313,8 +313,8 @@ TEST(DistWireTest, CampaignConfigRoundTripsLosslessly) {
 
 TEST(DistWireTest, EveryMonitorModeRoundTrips) {
   for (const sctc::MonitorMode mode :
-       {sctc::MonitorMode::kProgression, sctc::MonitorMode::kSynthesizedAutomaton,
-        sctc::MonitorMode::kCompiled, sctc::MonitorMode::kBoth}) {
+       {sctc::MonitorMode::kProgression, sctc::MonitorMode::kCompiled,
+        sctc::MonitorMode::kBoth}) {
     campaign::CampaignConfig config;
     config.mode = mode;
     const campaign::CampaignConfig copy =
@@ -330,6 +330,25 @@ TEST(DistWireTest, EveryMonitorModeRoundTrips) {
   ASSERT_NE(at, std::string::npos);
   json.replace(at, std::string("\"progression\"").size(), "\"warp\"");
   EXPECT_THROW(config_from_json(Json::parse(json)), WireError);
+}
+
+TEST(DistWireTest, RetiredAutomatonModeIsRejectedByName) {
+  // The handshake config a worker decodes and the submit config esv-serve
+  // decodes both go through config_from_json: an "automaton" config from an
+  // older peer is refused with the retirement notice, not "unknown mode".
+  std::string json = config_to_json(campaign::CampaignConfig{});
+  const std::size_t at = json.find("\"progression\"");
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, std::string("\"progression\"").size(), "\"automaton\"");
+  try {
+    config_from_json(Json::parse(json));
+    FAIL() << "automaton config decoded";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  sctc::retired_monitor_mode_message("automaton")),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DistWireTest, SeedResultRoundTripsLosslessly) {

@@ -122,7 +122,7 @@ TEST(EsvVerifyCliTest, MonitorModeFlagRejectsUnknownNames) {
 }
 
 TEST(EsvVerifyCliTest, MonitorModeFlagSelectsEveryMode) {
-  for (const char* mode : {"interpreted", "automaton", "compiled", "both"}) {
+  for (const char* mode : {"interpreted", "compiled", "both"}) {
     const RunResult r =
         run_cli(sample_args() + " --monitor-mode=" + mode + " --quiet");
     EXPECT_EQ(r.exit_code, 0) << mode << "\n" << r.output;
@@ -131,6 +131,21 @@ TEST(EsvVerifyCliTest, MonitorModeFlagSelectsEveryMode) {
   const RunResult both = run_cli(sample_args() + " --monitor-mode=both");
   EXPECT_EQ(both.exit_code, 0) << both.output;
   EXPECT_NE(both.output.find("both mode"), std::string::npos) << both.output;
+}
+
+TEST(EsvVerifyCliTest, RetiredAutomatonModeExitsTwoNamingCompiled) {
+  for (const char* flag : {"--monitor-mode=automaton", "--mode=automaton"}) {
+    for (const char* shape : {"", " --campaign=1..2"}) {
+      const RunResult r =
+          run_cli(sample_args() + " " + flag + shape + " --quiet");
+      EXPECT_EQ(r.exit_code, 2) << flag << shape << "\n" << r.output;
+      EXPECT_NE(r.output.find("\"automaton\" was retired"), std::string::npos)
+          << r.output;
+      EXPECT_NE(r.output.find("\"compiled\" runs the same synthesized"),
+                std::string::npos)
+          << r.output;
+    }
+  }
 }
 
 TEST(EsvVerifyCliTest, CampaignRunsAndWritesReport) {

@@ -165,6 +165,20 @@ TEST(JournalTest, ConfigDigestIsStableAndCoversResultFields) {
   EXPECT_EQ(config_digest(base), config_digest(changed));
 }
 
+TEST(JournalTest, ConfigDigestOfEachModeIsPinned) {
+  // The digest hashes MonitorMode's numeric value, and it keys every
+  // existing journal and esv-serve cache entry. These known answers were
+  // recorded when the enum still held a fourth mode; a renumbering of the
+  // remaining ones would break them.
+  campaign::CampaignConfig config = small_config();
+  config.mode = sctc::MonitorMode::kCompiled;
+  EXPECT_EQ(config_digest(config), "c68889675cf55f46");
+  config.mode = sctc::MonitorMode::kProgression;
+  EXPECT_EQ(config_digest(config), "d7fed35fdf8b666c");
+  config.mode = sctc::MonitorMode::kBoth;
+  EXPECT_EQ(config_digest(config), "b5ae80793881b519");
+}
+
 TEST(JournalTest, WriterRecoverRoundTripsEveryField) {
   const std::string path = temp_path("roundtrip");
   const campaign::CampaignConfig config = small_config(3, 9);

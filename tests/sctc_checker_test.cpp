@@ -212,7 +212,6 @@ TEST_P(CheckerTest, PslDialectSupported) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, CheckerTest,
                          ::testing::Values(MonitorMode::kProgression,
-                                           MonitorMode::kSynthesizedAutomaton,
                                            MonitorMode::kCompiled,
                                            MonitorMode::kBoth),
                          [](const ::testing::TestParamInfo<MonitorMode>& info) {
@@ -221,7 +220,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, CheckerTest,
 
 TEST(CheckerModeTest, AutomatonModeRecordsStateCount) {
   sim::Simulation sim;
-  TemporalChecker checker(sim, "sctc", MonitorMode::kSynthesizedAutomaton);
+  TemporalChecker checker(sim, "sctc", MonitorMode::kCompiled);
   checker.register_proposition("a", [] { return true; });
   checker.add_property("bounded", "F[50] a");
   EXPECT_GT(checker.properties()[0].automaton_states, 50u);
@@ -229,8 +228,8 @@ TEST(CheckerModeTest, AutomatonModeRecordsStateCount) {
 
 TEST(CheckerModeTest, ModeNamesRoundTrip) {
   for (const MonitorMode mode :
-       {MonitorMode::kProgression, MonitorMode::kSynthesizedAutomaton,
-        MonitorMode::kCompiled, MonitorMode::kBoth}) {
+       {MonitorMode::kProgression, MonitorMode::kCompiled,
+        MonitorMode::kBoth}) {
     const auto parsed = parse_monitor_mode(monitor_mode_name(mode));
     ASSERT_TRUE(parsed.has_value()) << monitor_mode_name(mode);
     EXPECT_EQ(*parsed, mode);
@@ -238,6 +237,11 @@ TEST(CheckerModeTest, ModeNamesRoundTrip) {
   // The CLI spelling "interpreted" is an alias for the progression rewriter.
   EXPECT_EQ(parse_monitor_mode("interpreted"), MonitorMode::kProgression);
   EXPECT_EQ(parse_monitor_mode("bogus"), std::nullopt);
+  // The retired mode no longer parses, and is named as retired.
+  EXPECT_EQ(parse_monitor_mode("automaton"), std::nullopt);
+  EXPECT_NE(retired_monitor_mode_message("automaton").find("compiled"),
+            std::string::npos);
+  EXPECT_EQ(retired_monitor_mode_message("bogus"), "");
 }
 
 // --- EswMonitor (handshake protocol, Fig. 3) ---------------------------------

@@ -365,6 +365,53 @@ TEST(ServePersistTest, OlderJournalVersionRefusesToStartTheDaemon) {
   std::remove(path.c_str());
 }
 
+TEST(ServePersistTest, RetiredMonitorModeJobRefusesToStartTheDaemon) {
+  // A current-version journal written by a build that still had the
+  // "automaton" mode: an acked automaton job, then an acked compiled job.
+  // Neither may be truncated away, so the daemon refuses to start.
+  CampaignConfig config = sample_config();
+  config.mode = esv::sctc::MonitorMode::kCompiled;
+  const std::string compiled_json = esv::dist::config_to_json(config);
+  std::string automaton_json = compiled_json;
+  const std::string compiled_mode = "\"mode\":\"compiled\"";
+  const std::size_t at = automaton_json.find(compiled_mode);
+  ASSERT_NE(at, std::string::npos);
+  automaton_json.replace(at, compiled_mode.size(), "\"mode\":\"automaton\"");
+  const auto accepted = [&](int job, const std::string& config_json) {
+    return frame_record("{\"type\":\"accepted\",\"job\":" +
+                        std::to_string(job) +
+                        ",\"tenant\":\"t\",\"key\":\"k" + std::to_string(job) +
+                        "\"" + esv::serve::campaign_shape_json(config) +
+                        ",\"config\":" + config_json + "}");
+  };
+  const std::string path = temp_path("retiredmode.esvj");
+  const std::string bytes =
+      frame_record("{\"type\":\"serve-header\",\"version\":" +
+                   std::to_string(esv::serve::kServeJournalVersion) + "}") +
+      accepted(1, automaton_json) + accepted(2, compiled_json);
+  write_file(path, bytes);
+
+  const esv::serve::RecoveredServe recovered =
+      esv::serve::recover_serve(path);
+  EXPECT_NE(recovered.retired_mode.find("job 1"), std::string::npos)
+      << recovered.retired_mode;
+  EXPECT_TRUE(recovered.pending.empty());
+
+  esv::serve::ServerOptions options;
+  options.socket_path = temp_path("retiredmode.sock");
+  options.journal_path = path;
+  try {
+    esv::serve::Server server(options);
+    FAIL() << "a journal holding a retired-mode job must refuse to start";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"automaton\" was retired"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(read_file(path), bytes) << "refusal must not touch the file";
+  std::remove(path.c_str());
+}
+
 // --- scheduling ----------------------------------------------------------
 
 // Fairness, deterministically: preload the queue through the journal
@@ -488,11 +535,22 @@ TEST(ServeServerTest, MalformedSubmitsAreRejectedNotFatal) {
   EXPECT_NE(rejected.string_or("reason", "").find("protocol version"),
             std::string::npos);
 
+  // A config in the retired "automaton" monitor mode is named as retired.
+  std::string submit = esv::serve::make_submit("t", sample_config());
+  const std::size_t at = submit.find("\"progression\"");
+  ASSERT_NE(at, std::string::npos);
+  submit.replace(at, std::string("\"progression\"").size(), "\"automaton\"");
+  esv::dist::write_frame(fd, submit);
+  rejected = await_frame(fd, esv::serve::FrameKind::kRejected);
+  EXPECT_NE(rejected.string_or("reason", "").find("\"automaton\" was retired"),
+            std::string::npos)
+      << rejected.string_or("reason", "");
+
   // The connection survived all of it.
   esv::dist::write_frame(fd, esv::serve::make_status_request());
   const esv::dist::Json status =
       await_frame(fd, esv::serve::FrameKind::kStatusReply);
-  EXPECT_EQ(status.u64_or("rejections", 0), 3u);
+  EXPECT_EQ(status.u64_or("rejections", 0), 4u);
   ::close(fd);
 }
 

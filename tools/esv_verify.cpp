@@ -8,13 +8,14 @@
 //     --approach=1|2       microprocessor model | derived ESW model (default 2)
 //     --max-steps=N        statement/cycle budget (default 1,000,000)
 //     --seed=S             stimulus seed (default 1)
-//     --mode=progression|automaton   monitor mode (default progression)
-//     --monitor-mode=interpreted|automaton|compiled|both
+//     --mode=progression   monitor mode (default progression)
+//     --monitor-mode=interpreted|compiled|both
 //                          full monitor-mode spelling (docs/MONITORS.md):
 //                          "interpreted" is the progression rewriter,
-//                          "compiled" the flat-transition-table lowering,
-//                          "both" runs the two in lockstep and reports any
-//                          divergence as a monitor error (exit 3)
+//                          "compiled" the synthesized AR-automaton lowered
+//                          into flat transition tables, "both" runs the two
+//                          in lockstep and reports any divergence as a
+//                          monitor error (exit 3)
 //     --vcd=FILE           dump a waveform of all propositions
 //     --witness=N          keep the last N steps as a violation witness
 //     --faults=FILE        inject faults from a fault plan (docs/FAULTS.md)
@@ -76,20 +77,13 @@
 #include <string>
 
 #include "campaign/campaign.hpp"
+#include "campaign/seed_runner.hpp"
 #include "chaos/chaos.hpp"
-#include "journal/journal.hpp"
-#include "cpu/codegen.hpp"
 #include "dist/broker.hpp"
-#include "cpu/cpu.hpp"
-#include "esw/esw_model.hpp"
-#include "fault/fault_engine.hpp"
-#include "fault/fault_plan.hpp"
-#include "minic/sema.hpp"
+#include "journal/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/vcd.hpp"
-#include "spec/specfile.hpp"
-#include "stimulus/random_inputs.hpp"
 
 namespace {
 
@@ -140,6 +134,14 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
   return result.ec == std::errc{} && result.ptr == text.data() + text.size();
 }
 
+// A retired mode name is answered with the retirement notice, anything else
+// with the flag's usage line.
+std::string mode_error(const char* flag, const std::string& value,
+                       const char* usage) {
+  const std::string retired = sctc::retired_monitor_mode_message(value);
+  return retired.empty() ? usage : flag + (": " + retired);
+}
+
 bool parse_args(int argc, char** argv, Options& options, std::string& error) {
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -171,21 +173,19 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
       }
       options.seed = number;
     } else if (value_of("--mode=", value)) {
-      if (value == "progression") {
-        options.mode = sctc::MonitorMode::kProgression;
-      } else if (value == "automaton") {
-        options.mode = sctc::MonitorMode::kSynthesizedAutomaton;
-      } else {
-        error = "--mode must be progression or automaton";
+      if (value != "progression") {
+        error = mode_error("--mode", value, "--mode must be progression");
         return false;
       }
+      options.mode = sctc::MonitorMode::kProgression;
     } else if (value_of("--monitor-mode=", value)) {
       if (const auto mode = sctc::parse_monitor_mode(value)) {
         options.mode = *mode;
       } else {
-        error =
-            "--monitor-mode must be interpreted (progression), automaton, "
-            "compiled, or both";
+        error = mode_error(
+            "--monitor-mode", value,
+            "--monitor-mode must be interpreted (progression), compiled, or "
+            "both");
         return false;
       }
     } else if (value_of("--campaign=", value)) {
@@ -404,6 +404,17 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+// Opens an output file (nothing for an empty path). Sinks are opened before
+// the run so an unwritable path is a configuration error (exit 2), not a
+// lost run.
+std::ofstream open_output(const std::string& path) {
+  std::ofstream out;
+  if (path.empty()) return out;
+  out.open(path);
+  if (!out) throw std::runtime_error("cannot write " + path);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -415,22 +426,21 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::string source = read_file(options.program_path);
+    campaign::CampaignConfig config;
+    config.program_source = read_file(options.program_path);
+    config.spec_text = read_file(options.spec_path);
+    config.approach = options.approach;
+    config.mode = options.mode;
+    config.max_steps = options.max_steps;
+    config.witness_depth = options.witness;
+    if (!options.faults_path.empty()) {
+      config.fault_plan_text = read_file(options.faults_path);
+    }
 
     if (options.campaign) {
-      campaign::CampaignConfig config;
-      config.program_source = source;
-      config.spec_text = read_file(options.spec_path);
-      config.approach = options.approach;
-      config.mode = options.mode;
-      config.max_steps = options.max_steps;
       config.seed_lo = options.campaign->first;
       config.seed_hi = options.campaign->second;
       config.jobs = options.jobs;
-      config.witness_depth = options.witness;
-      if (!options.faults_path.empty()) {
-        config.fault_plan_text = read_file(options.faults_path);
-      }
       config.seed_timeout_seconds = options.seed_timeout;
       config.seed_retries = options.seed_retries;
       config.seed_mem_limit_mb = options.seed_mem_limit;
@@ -471,15 +481,7 @@ int main(int argc, char** argv) {
         chaos::ChaosEngine::install(chaos_engine.get());
       }
 
-      // Preflight the metrics sink so an unwritable path is a configuration
-      // error (exit 2) before any seed runs.
-      std::ofstream metrics_out;
-      if (!options.metrics_path.empty()) {
-        metrics_out.open(options.metrics_path);
-        if (!metrics_out) {
-          throw std::runtime_error("cannot write " + options.metrics_path);
-        }
-      }
+      std::ofstream metrics_out = open_output(options.metrics_path);
 
       // Write-ahead journal (docs/JOURNAL.md): every finished seed is
       // appended before the campaign acknowledges it, so a killed run
@@ -563,11 +565,8 @@ int main(int argc, char** argv) {
       }
       std::cout << (options.quiet ? report.summary() : report.verdict_table());
       if (!options.report_path.empty()) {
-        std::ofstream out(options.report_path);
-        if (!out) {
-          throw std::runtime_error("cannot write " + options.report_path);
-        }
-        out << report.to_json(options.report_timing);
+        open_output(options.report_path)
+            << report.to_json(options.report_timing);
         if (!options.quiet) {
           std::cout << "report: " << options.report_path << "\n";
         }
@@ -611,147 +610,54 @@ int main(int argc, char** argv) {
       return (report.any_violated() || report.error_seeds != 0) ? 1 : 0;
     }
 
-    const spec::SpecFile specfile =
-        spec::parse_spec(read_file(options.spec_path));
+    // A single run is seed N of a one-seed campaign: same configuration
+    // checks (exit 2), same stack.
+    config.seed_lo = config.seed_hi = options.seed;
+    const campaign::CampaignSetup setup = campaign::prepare_campaign(config);
+    const campaign::CompiledProgram program(config);
 
-    minic::Program program = minic::compile(source);
-    mem::AddressSpace memory(
-        (program.data_segment_end() + 0xFFFu) & ~0xFFFu);
-
-    stimulus::RandomInputProvider inputs(options.seed);
-    for (const auto& input : specfile.inputs) {
-      if (input.is_chance) {
-        inputs.set_chance(input.name,
-                          static_cast<std::uint32_t>(input.lo),
-                          static_cast<std::uint32_t>(input.hi));
-      } else {
-        inputs.set_range(input.name, input.lo, input.hi);
-      }
-    }
-
-    sim::Simulation sim;
-    sctc::TemporalChecker checker(sim, "sctc", options.mode);
-    spec::apply_spec(specfile, program, memory, checker);
-    if (options.witness != 0) checker.set_witness_depth(options.witness);
-    checker.set_stop_on_violation(true);
-
-    // Fault plan (still configuration: parse and resolution errors exit 2).
-    fault::FaultPlan plan;
-    if (!options.faults_path.empty()) {
-      plan = fault::parse_plan(read_file(options.faults_path));
-    }
-    for (const auto& fault_line : specfile.fault_lines) {
-      plan.entries.push_back(
-          fault::parse_fault_line(fault_line.text, fault_line.line));
-    }
-    plan.resolve([&program](const std::string& name, std::uint32_t& address) {
-      const minic::GlobalVar* global = program.find_global(name);
-      if (global == nullptr || global->is_array) return false;
-      address = global->address;
-      return true;
-    });
-    std::optional<fault::FaultEngine> faults;
-    if (!plan.empty()) {
-      faults.emplace(plan, options.seed);
-      faults->bind_memory(memory);
-    }
-
-    // Observability sinks (docs/OBSERVABILITY.md). Output files are opened
-    // up front so an unwritable path is a configuration error (exit 2), not
-    // a lost run.
+    // Observability sinks (docs/OBSERVABILITY.md).
     const bool want_metrics = !options.metrics_path.empty();
     const bool want_trace = !options.trace_path.empty();
-    std::ofstream metrics_out;
-    std::ofstream trace_out;
-    if (want_metrics) {
-      metrics_out.open(options.metrics_path);
-      if (!metrics_out) {
-        throw std::runtime_error("cannot write " + options.metrics_path);
-      }
-    }
-    if (want_trace) {
-      trace_out.open(options.trace_path);
-      if (!trace_out) {
-        throw std::runtime_error("cannot write " + options.trace_path);
-      }
-    }
+    std::ofstream metrics_out = open_output(options.metrics_path);
+    std::ofstream trace_out = open_output(options.trace_path);
     obs::MetricsRegistry metrics;
     obs::TraceWriter trace;
-    if (want_metrics) {
-      sim.set_metrics(&metrics);
-      checker.set_metrics(&metrics);
-      if (faults) faults->set_metrics(&metrics);
-    }
-    if (want_trace) {
-      trace.seed_start(options.seed);
-      checker.set_trace(&trace);
-      if (faults) faults->set_trace(&trace);
-    }
+    campaign::SeedStack stack(config, setup, program, options.seed,
+                              want_metrics ? &metrics : nullptr,
+                              want_trace ? &trace : nullptr);
+    const sctc::TemporalChecker& checker = stack.checker;
 
-    sim::VcdTracer vcd(sim);
+    sim::VcdTracer vcd(stack.sim);
     const bool want_vcd = !options.vcd_path.empty();
     if (want_vcd) {
       std::set<std::string> traced;
-      for (const auto& prop : specfile.propositions) {
+      for (const auto& prop : setup.specfile.propositions) {
         if (!traced.insert(prop.global).second) continue;
         const std::uint32_t address =
-            program.find_global(prop.global)->address;
-        vcd.add_u32(prop.global,
-                    [&memory, address] { return memory.sctc_read_uint(address); });
+            program.program.find_global(prop.global)->address;
+        vcd.add_u32(prop.global, [&stack, address] {
+          return stack.memory.sctc_read_uint(address);
+        });
       }
+      vcd.sample_on(stack.step_event());
     }
 
     // From here on errors are runtime verification failures, not
-    // configuration mistakes: a kernel spawn rejection, an interpreter
-    // fault, or a trap escaping the run exits 3 with a one-line diagnostic.
-    std::uint64_t executed = 0;
+    // configuration mistakes: an interpreter fault or a trap escaping the
+    // run exits 3 with a one-line diagnostic.
     const auto run_started = std::chrono::steady_clock::now();
     try {
-      if (options.approach == 2) {
-        esw::EswProgram lowered = esw::lower_program(program);
-        esw::EswModel model(sim, "esw", program, lowered, memory, inputs);
-        checker.bind_trigger(model.pc_event());
-        if (want_vcd) vcd.sample_on(model.pc_event());
-        sim.create_method(
-            "supervisor",
-            [&] {
-              if (faults) faults->on_step(checker.steps());
-              if (model.finished() || checker.all_decided() ||
-                  model.interpreter().steps_executed() >= options.max_steps) {
-                sim.stop();
-              }
-            },
-            {&model.pc_event()}, /*run_at_start=*/false);
-        sim.run();
-        executed = model.interpreter().steps_executed();
-      } else {
-        cpu::CodeImage image = cpu::compile_to_image(program);
-        sim::Clock clock(sim, "clk", sim::Time::ns(10));
-        cpu::Cpu core(sim, "cpu", image, memory, inputs, clock);
-        core.set_stop_on_halt(true);
-        if (faults) faults->bind_clock(clock);
-        checker.bind_trigger(clock.posedge_event());
-        if (want_vcd) vcd.sample_on(clock.posedge_event());
-        sim.create_method(
-            "supervisor",
-            [&] {
-              if (faults) faults->on_step(checker.steps());
-              if (checker.all_decided() ||
-                  clock.cycles() >= options.max_steps) {
-                sim.stop();
-              }
-            },
-            {&clock.posedge_event()}, /*run_at_start=*/false);
-        sim.run();
-        executed = clock.cycles();
-        if (core.trapped() && !options.quiet) {
-          std::cout << "CPU trapped: " << core.trap_message() << "\n";
-        }
-      }
+      stack.run();
     } catch (const std::exception& e) {
       std::cerr << "runtime error: " << e.what() << "\n";
       return 3;
     }
+    const std::string trap = stack.trap_message();
+    if (!trap.empty() && !options.quiet) {
+      std::cout << "CPU trapped: " << trap << "\n";
+    }
+    stack.finish();
 
     if (want_vcd) {
       std::ofstream(options.vcd_path) << vcd.str();
@@ -761,10 +667,6 @@ int main(int argc, char** argv) {
       }
     }
     if (want_metrics) {
-      metrics.counter("stimulus.draws").add(inputs.draw_count());
-      metrics
-          .counter(options.approach == 2 ? "esw.statements" : "cpu.cycles")
-          .add(executed);
       metrics.duration_histogram("run.wall_us")
           .record(static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::microseconds>(
@@ -776,28 +678,17 @@ int main(int argc, char** argv) {
       }
     }
     if (want_trace) {
-      std::uint64_t validated = 0;
-      std::uint64_t violated = 0;
-      std::uint64_t pending = 0;
-      for (const sctc::PropertyRecord& record : checker.properties()) {
-        switch (record.verdict()) {
-          case temporal::Verdict::kValidated: ++validated; break;
-          case temporal::Verdict::kViolated: ++violated; break;
-          case temporal::Verdict::kPending: ++pending; break;
-        }
-      }
-      trace.seed_end(options.seed, checker.steps(), validated, violated,
-                     pending);
       trace_out << trace.text();
       if (!options.quiet) {
         std::cout << "trace: " << options.trace_path << " ("
                   << trace.event_count() << " events)\n";
       }
     }
-    if (faults) {
-      std::cout << "faults injected: " << faults->injected_count() << "\n";
-      if (!options.quiet && faults->injected_count() != 0) {
-        std::cout << faults->log_text();
+    if (stack.faults) {
+      std::cout << "faults injected: " << stack.faults->injected_count()
+                << "\n";
+      if (!options.quiet && stack.faults->injected_count() != 0) {
+        std::cout << stack.faults->log_text();
       }
     }
     std::cout << checker.report();
