@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "campaign/campaign.hpp"
+#include "common/strings.hpp"
 
 namespace esv::campaign {
 
@@ -30,30 +31,6 @@ const char* verdict_json(temporal::Verdict v) {
     case temporal::Verdict::kPending: return "pending";
   }
   return "unknown";
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream hex;
-          hex << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(static_cast<unsigned char>(c));
-          out += hex.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Fixed-precision percentage so the deterministic outputs never depend on
@@ -155,7 +132,7 @@ std::string CampaignReport::to_json(bool include_timing) const {
 
   out << "  \"properties\": [";
   for (std::size_t i = 0; i < property_names.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << json_escape(property_names[i]) << "\"";
+    out << (i ? ", " : "") << common::json_string(property_names[i]);
   }
   out << "],\n";
 
@@ -184,18 +161,18 @@ std::string CampaignReport::to_json(bool include_timing) const {
       }
       out << "]";
       if (!seed.fault_log.empty()) {
-        out << ", \"fault_log\": \"" << json_escape(seed.fault_log) << "\"";
+        out << ", \"fault_log\": " << common::json_string(seed.fault_log);
       }
     }
     if (seed.attempts > 1) {
       out << ", \"attempts\": " << seed.attempts;
     }
     if (!seed.error.empty()) {
-      out << ", \"error\": \"" << json_escape(seed.error) << "\""
-          << ", \"error_kind\": \"" << json_escape(seed.error_kind) << "\"";
+      out << ", \"error\": " << common::json_string(seed.error)
+          << ", \"error_kind\": " << common::json_string(seed.error_kind);
       if (!seed.fault_plan_digest.empty()) {
-        out << ", \"fault_plan_digest\": \""
-            << json_escape(seed.fault_plan_digest) << "\"";
+        out << ", \"fault_plan_digest\": "
+            << common::json_string(seed.fault_plan_digest);
       }
       if (include_timing) {
         // How long the failing attempt ran before it died — the number that
@@ -207,7 +184,7 @@ std::string CampaignReport::to_json(bool include_timing) const {
       }
     }
     if (!seed.witness.empty()) {
-      out << ", \"witness\": \"" << json_escape(seed.witness) << "\"";
+      out << ", \"witness\": " << common::json_string(seed.witness);
     }
     if (include_timing) {
       out << ", \"wall_ms\": " << std::fixed << std::setprecision(3)
@@ -221,8 +198,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
   out << "  \"aggregate\": {\n    \"per_property\": [\n";
   for (std::size_t i = 0; i < per_property.size(); ++i) {
     const PropertyAggregate& agg = per_property[i];
-    out << "      {\"name\": \"" << json_escape(agg.name)
-        << "\", \"validated\": " << agg.validated
+    out << "      {\"name\": " << common::json_string(agg.name)
+        << ", \"validated\": " << agg.validated
         << ", \"violated\": " << agg.violated
         << ", \"pending\": " << agg.pending;
     if (fault_campaign) {
@@ -241,8 +218,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
   out << "    ],\n    \"coverage\": [\n";
   for (std::size_t i = 0; i < coverage.size(); ++i) {
     const PropositionCoverage& cov = coverage[i];
-    out << "      {\"prop\": \"" << json_escape(cov.name)
-        << "\", \"true_steps\": " << cov.true_steps
+    out << "      {\"prop\": " << common::json_string(cov.name)
+        << ", \"true_steps\": " << cov.true_steps
         << ", \"total_steps\": " << cov.total_steps << ", \"percent\": "
         << percent_text(cov.percent()) << "}"
         << (i + 1 < coverage.size() ? "," : "") << "\n";

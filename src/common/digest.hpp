@@ -30,8 +30,13 @@
 // pre-fix builds are rejected with an explicit "written by an older
 // version" message — see RecoveredJournal::header_version — instead of a
 // baffling digest mismatch or a silent fresh start.)
+//
+// The same goes for the 8-byte header every journal record and wire frame
+// starts with (payload length + CRC-32): one implementation, below.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -90,6 +95,48 @@ inline std::string fnv1a_hex(std::string_view text) {
   Fnv1a digest;
   digest.mix(text);
   return digest.hex();
+}
+
+/// Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected,
+/// init/final-xor 0xFFFFFFFF). crc32("123456789") == 0xCBF43926.
+inline std::uint32_t crc32(const void* data, std::size_t size) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> entries{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      entries[i] = crc;
+    }
+    return entries;
+  }();
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+/// Size of the record header: u32 payload length + u32 payload CRC-32.
+constexpr std::size_t kRecordHeaderBytes = 8;
+
+/// Appends the record header of `payload`, both words little-endian.
+inline void append_record_header(std::string& out, std::string_view payload) {
+  const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
+  for (const std::uint32_t word : {length, crc32(payload.data(), length)}) {
+    for (int i = 0; i < 4; ++i) out += static_cast<char>(word >> (8 * i));
+  }
+}
+
+/// Reads one little-endian header word.
+inline std::uint32_t read_u32_le(const char* bytes) {
+  std::uint32_t word = 0;
+  for (int i = 3; i >= 0; --i) {
+    word = word << 8 | static_cast<unsigned char>(bytes[i]);
+  }
+  return word;
 }
 
 }  // namespace esv::common

@@ -48,4 +48,34 @@ std::string with_thousands(std::uint64_t value) {
   return out;
 }
 
+void json_escape_into(std::string& out, std::string_view text) {
+  static const char* kHex = "0123456789abcdef";
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string json_string(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  json_escape_into(out, text);
+  out += '"';
+  return out;
+}
+
 }  // namespace esv::common

@@ -23,4 +23,11 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// Renders a byte count / large integer with thousands separators ("12,345").
 std::string with_thousands(std::uint64_t value);
 
+/// The one JSON string escaper (reports, traces, wire frames, journals):
+/// `"`, `\`, `\n`, `\r`, `\t` by name, other control characters as
+/// `\u00XX`.
+void json_escape_into(std::string& out, std::string_view text);
+/// `"..."` — a complete escaped JSON string literal.
+std::string json_string(std::string_view text);
+
 }  // namespace esv::common

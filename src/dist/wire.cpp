@@ -10,25 +10,21 @@
 #include <cstring>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
+#include "campaign/config_fields.hpp"
 #include "chaos/chaos.hpp"
 
 namespace esv::dist {
 
 // --- Json ----------------------------------------------------------------
 
-namespace {
-
-class JsonParserImpl;
-
-}  // namespace
-
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing data after JSON document");
     return value;
@@ -64,12 +60,21 @@ class JsonParser {
     return true;
   }
 
-  Json parse_value() {
+  /// Arrays and objects nest at most this deep. The protocol's own
+  /// documents nest a few levels; the bound turns a frame of a hundred
+  /// thousand '[' into a WireError instead of a stack overflow.
+  static constexpr int kMaxNesting = 64;
+
+  /// `depth` counts the arrays and objects enclosing the value.
+  Json parse_value(int depth) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxNesting) {
+      fail("nesting too deep (limit " + std::to_string(kMaxNesting) + ")");
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': {
         Json value;
         value.type_ = Json::Type::kString;
@@ -98,7 +103,7 @@ class JsonParser {
     }
   }
 
-  Json parse_object() {
+  Json parse_object(int depth) {
     expect('{');
     Json value;
     value.type_ = Json::Type::kObject;
@@ -112,7 +117,7 @@ class JsonParser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      value.members_[std::move(key)] = parse_value();
+      value.members_[std::move(key)] = parse_value(depth);
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -127,7 +132,7 @@ class JsonParser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(int depth) {
     expect('[');
     Json value;
     value.type_ = Json::Type::kArray;
@@ -137,7 +142,7 @@ class JsonParser {
       return value;
     }
     for (;;) {
-      value.items_.push_back(parse_value());
+      value.items_.push_back(parse_value(depth));
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -316,81 +321,9 @@ bool Json::bool_or(const std::string& key, bool fallback) const {
   return has(key) ? at(key).as_bool() : fallback;
 }
 
-void json_escape_into(std::string& out, std::string_view text) {
-  static const char* kHex = "0123456789abcdef";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_string(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  json_escape_into(out, text);
-  out += '"';
-  return out;
-}
-
 // --- framing -------------------------------------------------------------
 
 namespace {
-
-// CRC-32 (IEEE 802.3, reflected, init/final-xor 0xFFFFFFFF) — the same
-// function as journal::crc32, duplicated here because the journal layer
-// links *on top of* the wire layer.
-struct Crc32Table {
-  std::uint32_t entries[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-      }
-      entries[i] = crc;
-    }
-  }
-};
-
-std::uint32_t frame_crc32(const char* data, std::size_t size) {
-  static const Crc32Table table;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^
-          table.entries[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t decode_u32(const char* bytes) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[0])) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[1])) << 8 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[2]))
-             << 16 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[3]))
-             << 24;
-}
-
-void encode_u32(std::uint32_t value, char* bytes) {
-  bytes[0] = static_cast<char>(value & 0xFF);
-  bytes[1] = static_cast<char>((value >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((value >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((value >> 24) & 0xFF);
-}
 
 // Per-syscall transfer cap (set_io_chunk_limit_for_test); 0 = unlimited.
 std::atomic<std::size_t> io_chunk_limit{0};
@@ -438,7 +371,7 @@ bool recv_all(int fd, char* data, std::size_t size) {
 
 void check_frame_crc(const char* payload, std::uint32_t length,
                      std::uint32_t expected) {
-  if (frame_crc32(payload, length) != expected) {
+  if (common::crc32(payload, length) != expected) {
     throw WireError("wire: frame crc mismatch (stream corruption)");
   }
 }
@@ -455,13 +388,14 @@ void FrameReader::feed(const char* data, std::size_t size) {
 
 std::optional<std::string> FrameReader::next() {
   if (buffer_.size() < kFrameHeaderBytes) return std::nullopt;
-  const std::uint32_t length = decode_u32(buffer_.data());
+  const std::uint32_t length = common::read_u32_le(buffer_.data());
   if (length > kMaxFramePayload) {
     throw WireError("wire: frame length " + std::to_string(length) +
                     " exceeds the protocol maximum");
   }
   if (buffer_.size() < kFrameHeaderBytes + length) return std::nullopt;
-  const std::uint32_t expected_crc = decode_u32(buffer_.data() + 4);
+  const std::uint32_t expected_crc =
+      common::read_u32_le(buffer_.data() + 4);
   check_frame_crc(buffer_.data() + kFrameHeaderBytes, length, expected_crc);
   std::string payload = buffer_.substr(kFrameHeaderBytes, length);
   buffer_.erase(0, kFrameHeaderBytes + length);
@@ -470,19 +404,16 @@ std::optional<std::string> FrameReader::next() {
 
 std::optional<std::uint32_t> FrameReader::pending_payload() const {
   if (buffer_.size() < 4) return std::nullopt;
-  return decode_u32(buffer_.data());
+  return common::read_u32_le(buffer_.data());
 }
 
 std::string encode_frame(std::string_view payload) {
   if (payload.size() > kMaxFramePayload) {
     throw WireError("wire: frame payload too large");
   }
-  char header[kFrameHeaderBytes];
-  encode_u32(static_cast<std::uint32_t>(payload.size()), header);
-  encode_u32(frame_crc32(payload.data(), payload.size()), header + 4);
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  frame.append(header, kFrameHeaderBytes);
+  common::append_record_header(frame, payload);
   frame.append(payload);
   return frame;
 }
@@ -527,7 +458,7 @@ void write_frame(int fd, std::string_view payload) {
 std::optional<std::string> read_frame(int fd) {
   char header[kFrameHeaderBytes];
   if (!recv_all(fd, header, kFrameHeaderBytes)) return std::nullopt;
-  const std::uint32_t length = decode_u32(header);
+  const std::uint32_t length = common::read_u32_le(header);
   if (length > kMaxFramePayload) {
     throw WireError("wire: frame length " + std::to_string(length) +
                     " exceeds the protocol maximum");
@@ -536,7 +467,7 @@ std::optional<std::string> read_frame(int fd) {
   if (length != 0 && !recv_all(fd, payload.data(), length)) {
     throw WireError("wire: EOF inside a frame");
   }
-  check_frame_crc(payload.data(), length, decode_u32(header + 4));
+  check_frame_crc(payload.data(), length, common::read_u32_le(header + 4));
   return payload;
 }
 
@@ -560,63 +491,56 @@ std::string double_text(double value) {
 
 std::string config_to_json(const campaign::CampaignConfig& config) {
   std::string out = "{";
-  out += "\"program_source\":" + json_string(config.program_source);
-  out += ",\"spec_text\":" + json_string(config.spec_text);
-  out += ",\"approach\":";
-  append_u64(out, static_cast<std::uint64_t>(config.approach));
-  out += ",\"mode\":";
-  out += json_string(sctc::monitor_mode_name(config.mode));
-  out += ",\"max_steps\":";
-  append_u64(out, config.max_steps);
-  out += ",\"jobs\":";
-  append_u64(out, config.jobs);
-  out += ",\"witness_depth\":";
-  append_u64(out, config.witness_depth);
-  out += ",\"fault_plan_text\":" + json_string(config.fault_plan_text);
-  out += ",\"fault_log_limit\":";
-  append_u64(out, config.fault_log_limit);
-  out += ",\"collect_metrics\":";
-  out += config.collect_metrics ? "true" : "false";
-  out += ",\"capture_traces\":";
-  out += config.capture_traces ? "true" : "false";
-  out += ",\"seed_timeout_seconds\":" + double_text(config.seed_timeout_seconds);
-  out += ",\"seed_retries\":";
-  append_u64(out, config.seed_retries);
-  out += ",\"seed_mem_limit_mb\":";
-  append_u64(out, config.seed_mem_limit_mb);
-  // on_result and resume_results stay host-side by design: journaling and
-  // resume are orchestrator concerns, workers only ever compute fresh seeds.
+  campaign::visit_config_fields<campaign::kOnWire>(
+      config, [&](const char* name, const auto& value, unsigned) {
+        using T = std::decay_t<decltype(value)>;
+        if (out.size() > 1) out += ',';
+        out += json_string(name);
+        out += ':';
+        if constexpr (std::is_same_v<T, std::string>) {
+          out += json_string(value);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          out += value ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, double>) {
+          out += double_text(value);
+        } else if constexpr (std::is_same_v<T, sctc::MonitorMode>) {
+          out += json_string(sctc::monitor_mode_name(value));
+        } else {
+          append_u64(out, static_cast<std::uint64_t>(value));
+        }
+      });
   out += "}";
   return out;
 }
 
 campaign::CampaignConfig config_from_json(const Json& json) {
   campaign::CampaignConfig config;
-  config.program_source = json.at("program_source").as_string();
-  config.spec_text = json.at("spec_text").as_string();
-  config.approach = static_cast<int>(json.at("approach").as_u64());
-  const std::string& mode = json.at("mode").as_string();
-  if (const auto parsed = sctc::parse_monitor_mode(mode)) {
-    config.mode = *parsed;
-  } else if (const std::string retired =
-                 sctc::retired_monitor_mode_message(mode);
-             !retired.empty()) {
-    throw WireError("config: " + retired);
-  } else {
-    throw WireError("config: unknown monitor mode \"" + mode + "\"");
-  }
-  config.max_steps = json.at("max_steps").as_u64();
-  config.jobs = static_cast<unsigned>(json.u64_or("jobs", 1));
-  config.witness_depth =
-      static_cast<std::size_t>(json.u64_or("witness_depth", 0));
-  config.fault_plan_text = json.string_or("fault_plan_text", "");
-  config.fault_log_limit =
-      static_cast<std::size_t>(json.u64_or("fault_log_limit", 64));
-  config.collect_metrics = json.bool_or("collect_metrics", false);
-  config.capture_traces = json.bool_or("capture_traces", false);
-  config.seed_timeout_seconds = json.double_or("seed_timeout_seconds", 0.0);
-  config.seed_retries = static_cast<unsigned>(json.u64_or("seed_retries", 0));
-  config.seed_mem_limit_mb = json.u64_or("seed_mem_limit_mb", 0);
+  campaign::visit_config_fields<campaign::kOnWire>(
+      config, [&](const char* name, auto& value, unsigned flags) {
+        if ((flags & campaign::kRequired) == 0 && !json.has(name)) return;
+        const Json& field = json.at(name);
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          value = field.as_string();
+        } else if constexpr (std::is_same_v<T, bool>) {
+          value = field.as_bool();
+        } else if constexpr (std::is_same_v<T, double>) {
+          value = field.as_double();
+        } else if constexpr (std::is_same_v<T, sctc::MonitorMode>) {
+          const std::string& mode = field.as_string();
+          if (const auto parsed = sctc::parse_monitor_mode(mode)) {
+            value = *parsed;
+          } else if (const std::string retired =
+                         sctc::retired_monitor_mode_message(mode);
+                     !retired.empty()) {
+            throw WireError("config: " + retired);
+          } else {
+            throw WireError("config: unknown monitor mode \"" + mode + "\"");
+          }
+        } else {
+          value = static_cast<T>(field.as_u64());
+        }
+      });
   return config;
 }
 

@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "common/digest.hpp"
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 
 namespace esv::dist {
@@ -76,11 +78,9 @@ class Json {
   friend class JsonParser;
 };
 
-/// Escapes `text` for embedding in a JSON string literal (same escaping as
-/// the report/trace renderers: ", \, control characters).
-void json_escape_into(std::string& out, std::string_view text);
-/// `"..."` — a complete escaped JSON string literal.
-std::string json_string(std::string_view text);
+/// The shared string escaper (common/strings.hpp).
+using common::json_escape_into;
+using common::json_string;
 
 // --- framing -------------------------------------------------------------
 
@@ -89,8 +89,8 @@ std::string json_string(std::string_view text);
 constexpr std::uint32_t kMaxFramePayload = 256u * 1024u * 1024u;
 
 /// Frame header: u32 little-endian payload length + u32 little-endian
-/// payload CRC-32 (same polynomial as journal::crc32).
-constexpr std::size_t kFrameHeaderBytes = 8;
+/// payload CRC-32 — the journals' record header too (common/digest.hpp).
+constexpr std::size_t kFrameHeaderBytes = common::kRecordHeaderBytes;
 
 /// Test/chaos seam: caps the byte count of every send(2)/recv(2) syscall so
 /// the partial-transfer reassembly paths run deterministically under test.

@@ -11,80 +11,43 @@
 #include <iomanip>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
+#include "campaign/config_fields.hpp"
 #include "chaos/chaos.hpp"
 #include "common/digest.hpp"
 #include "dist/wire.hpp"
 
 namespace esv::journal {
 
-// --- CRC-32 --------------------------------------------------------------
-
-namespace {
-
-struct Crc32Table {
-  std::uint32_t entries[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      entries[i] = crc;
-    }
-  }
-};
-
-const Crc32Table& crc_table() {
-  static const Crc32Table table;
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size) {
-  const Crc32Table& table = crc_table();
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ bytes[i]) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 // --- configuration digest ------------------------------------------------
 
 std::string config_digest(const campaign::CampaignConfig& config) {
   common::Fnv1a digest;
-  digest.feed(config.program_source);
-  digest.feed(config.spec_text);
-  digest.feed(static_cast<std::uint64_t>(config.approach));
-  // MonitorMode's values are explicit and digest-stable (progression=0,
-  // compiled=2, both=3), so journals of the remaining modes still resume.
-  digest.feed(static_cast<std::uint64_t>(config.mode));
-  digest.feed(config.max_steps);
-  digest.feed(config.seed_lo);
-  digest.feed(config.seed_hi);
-  digest.feed(static_cast<std::uint64_t>(config.witness_depth));
-  digest.feed(config.fault_plan_text);
-  digest.feed(static_cast<std::uint64_t>(config.fault_log_limit));
-  digest.feed(static_cast<std::uint64_t>(config.collect_metrics ? 1 : 0));
-  // trace_dir implies capture_traces inside the runner, so hash the
-  // *effective* capture flag; the directory path itself is deployment shape.
-  const bool captures = config.capture_traces || !config.trace_dir.empty();
-  digest.feed(static_cast<std::uint64_t>(captures ? 1 : 0));
-  // The watchdog and retry budget can change which error a seed records.
-  std::ostringstream timeout_text;
-  timeout_text.precision(17);
-  timeout_text << config.seed_timeout_seconds;
-  digest.feed(timeout_text.str());
-  digest.feed(static_cast<std::uint64_t>(config.seed_retries));
-  digest.feed(config.seed_mem_limit_mb);
-  // Deliberately excluded: campaign_timeout_seconds and the chaos plan/seed
-  // (docs/RESILIENCE.md). Both are infrastructure-only — they can abort or
-  // perturb a run but never change a completed seed's bytes — so a journal
-  // cut short by a deadline or a chaos schedule must resume under a clean
-  // configuration.
+  campaign::visit_config_fields<campaign::kInDigest>(
+      config, [&](const char*, const auto& value, unsigned) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          digest.feed(value);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          // trace_dir implies capture_traces inside the runner, so hash the
+          // *effective* capture flag; the directory path is host-only.
+          const bool on = &value == &config.capture_traces
+                              ? value || !config.trace_dir.empty()
+                              : value;
+          digest.feed(static_cast<std::uint64_t>(on ? 1 : 0));
+        } else if constexpr (std::is_same_v<T, double>) {
+          std::ostringstream text;
+          text.precision(17);
+          text << value;
+          digest.feed(text.str());
+        } else {
+          // Integers, and MonitorMode by its explicit, digest-stable value
+          // (progression=0, compiled=2, both=3), so journals of the
+          // remaining modes still resume.
+          digest.feed(static_cast<std::uint64_t>(value));
+        }
+      });
   return digest.hex();
 }
 
@@ -92,29 +55,12 @@ std::string config_digest(const campaign::CampaignConfig& config) {
 
 namespace {
 
-constexpr std::size_t kRecordHeaderBytes = 8;  // u32 length + u32 crc
-
-void put_u32_le(std::string& out, std::uint32_t value) {
-  out += static_cast<char>(value & 0xFF);
-  out += static_cast<char>((value >> 8) & 0xFF);
-  out += static_cast<char>((value >> 16) & 0xFF);
-  out += static_cast<char>((value >> 24) & 0xFF);
-}
-
-std::uint32_t get_u32_le(const char* bytes) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[0])) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[1])) << 8 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[2]))
-             << 16 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[3]))
-             << 24;
-}
+using common::kRecordHeaderBytes;
 
 std::string frame_record(const std::string& payload) {
   std::string record;
   record.reserve(kRecordHeaderBytes + payload.size() + 1);
-  put_u32_le(record, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(record, crc32(payload.data(), payload.size()));
+  common::append_record_header(record, payload);
   record += payload;
   record += '\n';
   return record;
@@ -316,8 +262,9 @@ ScannedRecords scan_records(const std::string& path) {
     // mid-record (or the tail was otherwise damaged). Keep the prefix,
     // drop the rest.
     if (bytes.size() - pos < kRecordHeaderBytes) break;
-    const std::uint32_t length = get_u32_le(bytes.data() + pos);
-    const std::uint32_t expected_crc = get_u32_le(bytes.data() + pos + 4);
+    const std::uint32_t length = common::read_u32_le(bytes.data() + pos);
+    const std::uint32_t expected_crc =
+        common::read_u32_le(bytes.data() + pos + 4);
     const std::size_t payload_at = pos + kRecordHeaderBytes;
     if (bytes.size() - payload_at < static_cast<std::size_t>(length) + 1) break;
     if (bytes[payload_at + length] != '\n') break;

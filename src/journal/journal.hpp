@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "common/digest.hpp"
 
 namespace esv::journal {
 
@@ -48,17 +49,16 @@ class JournalError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected,
-/// init/final-xor 0xFFFFFFFF). crc32("123456789") == 0xCBF43926.
-std::uint32_t crc32(const void* data, std::size_t size);
+/// The record checksum (common/digest.hpp).
+using common::crc32;
 
 /// Stable 16-hex-digit FNV-1a digest over every configuration field that can
-/// change a deterministic result byte: program, spec, approach, mode, step
-/// budget, seed range, witness depth, fault plan + log limit, the metrics
-/// and trace-capture flags, the watchdog/retry knobs, and the per-seed
-/// memory ceiling. Deployment-shape fields (jobs, workers, worker_binary,
-/// trace_dir path, sync policy) are excluded — they never change results,
-/// so a journal written under --jobs=8 resumes cleanly under --workers=2.
+/// change a deterministic result byte — the kInDigest entries of
+/// campaign/config_fields.hpp: the result fields plus the seed range.
+/// Deployment-shape fields (jobs, workers) and host-only fields (worker
+/// binary, trace_dir path, deadlines) are excluded — they never change
+/// results, so a journal written under --jobs=8 resumes cleanly under
+/// --workers=2.
 std::string config_digest(const campaign::CampaignConfig& config);
 
 /// How often the writer fsyncs (docs/JOURNAL.md discusses the trade-offs):

@@ -1,33 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <sstream>
+#include <string>
+
+#include "common/strings.hpp"
 
 namespace esv::obs {
-
-namespace {
-
-// Minimal JSON string escape; proposition/property names and fault texts are
-// plain ASCII in practice, but a malicious spec must not corrupt the stream.
-void escape_into(std::ostringstream& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF]
-              << "0123456789abcdef"[c & 0xF];
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void TraceWriter::append(std::string_view text) {
   buffer_ += text;
@@ -36,130 +13,88 @@ void TraceWriter::append(std::string_view text) {
 }
 
 void TraceWriter::seed_start(std::uint64_t seed) {
-  std::ostringstream line;
-  line << "{\"type\":\"seed_start\",\"seed\":" << seed << "}";
-  append(line.str());
+  append("{\"type\":\"seed_start\",\"seed\":" + std::to_string(seed) + "}");
 }
 
 void TraceWriter::prop_change(std::uint64_t step, std::string_view prop,
                               bool value) {
-  std::ostringstream line;
-  line << "{\"type\":\"prop_change\",\"step\":" << step << ",\"prop\":\"";
-  escape_into(line, prop);
-  line << "\",\"value\":" << (value ? 1 : 0) << "}";
-  append(line.str());
+  append("{\"type\":\"prop_change\",\"step\":" + std::to_string(step) +
+         ",\"prop\":" + common::json_string(prop) +
+         (value ? ",\"value\":1}" : ",\"value\":0}"));
 }
 
 void TraceWriter::monitor_transition(std::uint64_t step,
                                      std::string_view property,
                                      std::string_view from,
                                      std::string_view to) {
-  std::ostringstream line;
-  line << "{\"type\":\"monitor_transition\",\"step\":" << step
-       << ",\"property\":\"";
-  escape_into(line, property);
-  line << "\",\"from\":\"";
-  escape_into(line, from);
-  line << "\",\"to\":\"";
-  escape_into(line, to);
-  line << "\"}";
-  append(line.str());
+  append("{\"type\":\"monitor_transition\",\"step\":" + std::to_string(step) +
+         ",\"property\":" + common::json_string(property) +
+         ",\"from\":" + common::json_string(from) +
+         ",\"to\":" + common::json_string(to) + "}");
 }
 
 void TraceWriter::automaton_state(std::uint64_t step,
                                   std::string_view property,
                                   std::uint32_t state) {
-  std::ostringstream line;
-  line << "{\"type\":\"automaton_state\",\"step\":" << step
-       << ",\"property\":\"";
-  escape_into(line, property);
-  line << "\",\"state\":" << state << "}";
-  append(line.str());
+  append("{\"type\":\"automaton_state\",\"step\":" + std::to_string(step) +
+         ",\"property\":" + common::json_string(property) +
+         ",\"state\":" + std::to_string(state) + "}");
 }
 
 void TraceWriter::monitor_divergence(std::uint64_t step,
                                      std::string_view property,
                                      std::string_view detail) {
-  std::ostringstream line;
-  line << "{\"type\":\"monitor_divergence\",\"step\":" << step
-       << ",\"property\":\"";
-  escape_into(line, property);
-  line << "\",\"detail\":\"";
-  escape_into(line, detail);
-  line << "\"}";
-  append(line.str());
+  append("{\"type\":\"monitor_divergence\",\"step\":" + std::to_string(step) +
+         ",\"property\":" + common::json_string(property) +
+         ",\"detail\":" + common::json_string(detail) + "}");
 }
 
 void TraceWriter::fault(std::uint64_t step, std::string_view text) {
-  std::ostringstream line;
-  line << "{\"type\":\"fault\",\"step\":" << step << ",\"text\":\"";
-  escape_into(line, text);
-  line << "\"}";
-  append(line.str());
+  append("{\"type\":\"fault\",\"step\":" + std::to_string(step) +
+         ",\"text\":" + common::json_string(text) + "}");
 }
 
 void TraceWriter::chaos_injected(std::string_view point,
                                  std::string_view action, std::uint64_t hit,
                                  std::string_view detail) {
-  std::ostringstream line;
-  line << "{\"type\":\"chaos_injected\",\"point\":\"";
-  escape_into(line, point);
-  line << "\",\"action\":\"";
-  escape_into(line, action);
-  line << "\",\"hit\":" << hit;
-  if (!detail.empty()) {
-    line << ",\"detail\":\"";
-    escape_into(line, detail);
-    line << "\"";
-  }
-  line << "}";
-  append(line.str());
+  std::string line = "{\"type\":\"chaos_injected\",\"point\":" +
+                     common::json_string(point) +
+                     ",\"action\":" + common::json_string(action) +
+                     ",\"hit\":" + std::to_string(hit);
+  if (!detail.empty()) line += ",\"detail\":" + common::json_string(detail);
+  append(line + "}");
 }
 
 void TraceWriter::handshake(std::uint64_t steps) {
-  std::ostringstream line;
-  line << "{\"type\":\"handshake\",\"steps\":" << steps << "}";
-  append(line.str());
+  append("{\"type\":\"handshake\",\"steps\":" + std::to_string(steps) + "}");
 }
 
 void TraceWriter::worker_event(std::string_view event, unsigned worker,
                                unsigned generation, std::string_view detail) {
-  std::ostringstream line;
-  line << "{\"type\":\"worker\",\"event\":\"";
-  escape_into(line, event);
-  line << "\",\"worker\":" << worker << ",\"generation\":" << generation;
-  if (!detail.empty()) {
-    line << ",\"detail\":\"";
-    escape_into(line, detail);
-    line << "\"";
-  }
-  line << "}";
-  append(line.str());
+  std::string line = "{\"type\":\"worker\",\"event\":" +
+                     common::json_string(event) +
+                     ",\"worker\":" + std::to_string(worker) +
+                     ",\"generation\":" + std::to_string(generation);
+  if (!detail.empty()) line += ",\"detail\":" + common::json_string(detail);
+  append(line + "}");
 }
 
 void TraceWriter::campaign_event(std::string_view event,
                                  std::string_view detail) {
-  std::ostringstream line;
-  line << "{\"type\":\"campaign\",\"event\":\"";
-  escape_into(line, event);
-  line << "\"";
-  if (!detail.empty()) {
-    line << ",\"detail\":\"";
-    escape_into(line, detail);
-    line << "\"";
-  }
-  line << "}";
-  append(line.str());
+  std::string line =
+      "{\"type\":\"campaign\",\"event\":" + common::json_string(event);
+  if (!detail.empty()) line += ",\"detail\":" + common::json_string(detail);
+  append(line + "}");
 }
 
 void TraceWriter::seed_end(std::uint64_t seed, std::uint64_t steps,
                            std::uint64_t validated, std::uint64_t violated,
                            std::uint64_t pending) {
-  std::ostringstream line;
-  line << "{\"type\":\"seed_end\",\"seed\":" << seed << ",\"steps\":" << steps
-       << ",\"validated\":" << validated << ",\"violated\":" << violated
-       << ",\"pending\":" << pending << "}";
-  append(line.str());
+  append("{\"type\":\"seed_end\",\"seed\":" + std::to_string(seed) +
+         ",\"steps\":" + std::to_string(steps) +
+         ",\"validated\":" + std::to_string(validated) +
+         ",\"violated\":" + std::to_string(violated) +
+         ",\"pending\":" + std::to_string(pending) + "}");
 }
 
 }  // namespace esv::obs

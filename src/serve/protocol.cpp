@@ -1,5 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <type_traits>
+
+#include "campaign/config_fields.hpp"
+
 namespace esv::serve {
 
 FrameKind frame_kind(const dist::Json& json) {
@@ -19,17 +23,23 @@ FrameKind frame_kind(const dist::Json& json) {
 }
 
 std::string campaign_shape_json(const campaign::CampaignConfig& config) {
-  std::string out = ",\"seed_lo\":" + std::to_string(config.seed_lo);
-  out += ",\"seed_hi\":" + std::to_string(config.seed_hi);
-  out += ",\"workers\":" + std::to_string(config.workers);
+  std::string out;
+  campaign::visit_config_fields<campaign::kInShape>(
+      config, [&](const char* name, const auto& value, unsigned) {
+        out += ',' + dist::json_string(name) + ':' + std::to_string(value);
+      });
   return out;
 }
 
 void apply_campaign_shape(const dist::Json& json,
                           campaign::CampaignConfig& config) {
-  config.seed_lo = json.u64_or("seed_lo", 1);
-  config.seed_hi = json.u64_or("seed_hi", config.seed_lo);
-  config.workers = static_cast<unsigned>(json.u64_or("workers", 0));
+  campaign::visit_config_fields<campaign::kInShape>(
+      config, [&](const char* name, auto& value, unsigned) {
+        value = static_cast<std::decay_t<decltype(value)>>(
+            json.u64_or(name, value));
+      });
+  // A submit without seed_hi runs the single seed seed_lo.
+  if (!json.has("seed_hi")) config.seed_hi = config.seed_lo;
   if (config.seed_lo < 1 || config.seed_hi < config.seed_lo) {
     throw dist::WireError("serve: bad seed range " +
                           std::to_string(config.seed_lo) + ".." +

@@ -77,16 +77,17 @@ enum class FrameKind {
 FrameKind frame_kind(const dist::Json& json);
 
 // --- campaign shape ------------------------------------------------------
-// dist::config_to_json deliberately omits seed_lo/seed_hi/workers (the
-// distributed wire assigns seed ranges per chunk), so serve frames and
-// journal records carry them as explicit siblings of "config".
+// The kInShape fields of campaign/config_fields.hpp, which the worker wire
+// omits (it assigns seeds per chunk): serve frames and journal records
+// carry them as explicit siblings of "config".
 
 /// Renders `,"seed_lo":N,"seed_hi":N,"workers":N` for embedding next to a
 /// "config" member.
 std::string campaign_shape_json(const campaign::CampaignConfig& config);
 
 /// Reads the shape fields back into a config parsed with
-/// dist::config_from_json. Throws dist::WireError on a bad range.
+/// dist::config_from_json (an absent seed_hi means seed_lo). Throws
+/// dist::WireError on a bad range.
 void apply_campaign_shape(const dist::Json& json,
                           campaign::CampaignConfig& config);
 

@@ -168,8 +168,25 @@ class ParserBase {
     if (!at(TokKind::kEnd)) fail("unexpected trailing input");
   }
 
+  /// Property text comes from outside (spec files, serve submits): a
+  /// parenthesis, prefix operator or right-associative operator holds one
+  /// level while its operand parses, and past the limit the parse fails
+  /// instead of exhausting the stack.
+  static constexpr int kMaxNesting = 256;
+  struct NestingGuard {
+    explicit NestingGuard(ParserBase& parser) : parser_(parser) {
+      if (++parser_.nesting_ > kMaxNesting) {
+        parser_.fail("nesting too deep (limit " +
+                     std::to_string(kMaxNesting) + ")");
+      }
+    }
+    ~NestingGuard() { --parser_.nesting_; }
+    ParserBase& parser_;
+  };
+
   Lexer lexer_;
   FormulaFactory& factory_;
+  int nesting_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -195,6 +212,7 @@ class FltlParser : public ParserBase {
   FormulaRef parse_implies() {
     FormulaRef lhs = parse_or();
     if (accept(TokKind::kImplies)) {
+      NestingGuard guard(*this);
       return factory_.implies(lhs, parse_implies());  // right associative
     }
     return lhs;
@@ -218,6 +236,7 @@ class FltlParser : public ParserBase {
 
   FormulaRef parse_until() {
     FormulaRef lhs = parse_unary();
+    NestingGuard guard(*this);
     if (at_ident("U")) {
       lexer_.take();
       auto bound = parse_bound();
@@ -236,6 +255,7 @@ class FltlParser : public ParserBase {
   }
 
   FormulaRef parse_unary() {
+    NestingGuard guard(*this);
     if (accept(TokKind::kNot) || accept_ident("not")) {
       return factory_.not_(parse_unary());
     }
@@ -294,6 +314,7 @@ class PslParser : public ParserBase {
 
  private:
   FormulaRef parse_property() {
+    NestingGuard guard(*this);
     if (accept_ident("always")) return factory_.always(parse_property());
     if (accept_ident("never")) {
       return factory_.always(factory_.not_(parse_property()));
@@ -342,6 +363,7 @@ class PslParser : public ParserBase {
 
   FormulaRef parse_until() {
     FormulaRef lhs = parse_unary();
+    NestingGuard guard(*this);
     if (at_ident("until")) {
       lexer_.take();
       const bool strong = accept(TokKind::kNot);  // until!
@@ -369,7 +391,10 @@ class PslParser : public ParserBase {
   }
 
   FormulaRef parse_unary() {
-    if (accept(TokKind::kNot)) return factory_.not_(parse_unary());
+    if (accept(TokKind::kNot)) {
+      NestingGuard guard(*this);
+      return factory_.not_(parse_unary());
+    }
     return parse_primary();
   }
 

@@ -24,6 +24,7 @@
 #include "dist/protocol.hpp"
 #include "dist/wire.hpp"
 #include "obs/metrics.hpp"
+#include "pinned_config.hpp"
 
 namespace esv::dist {
 namespace {
@@ -54,6 +55,25 @@ TEST(DistJsonTest, RejectsMalformedDocuments) {
   EXPECT_THROW(doc.at("b"), WireError);
   EXPECT_THROW(doc.at("a").as_string(), WireError);
   EXPECT_THROW(doc.as_u64(), WireError);
+}
+
+TEST(DistJsonTest, DeepNestingIsAWireErrorNotAStackOverflow) {
+  // A 100 KB frame, far under any request-size cap.
+  std::string deep_object;
+  for (int i = 0; i < 100000; ++i) deep_object += "{\"a\":";
+  for (const std::string& deep : {std::string(100000, '['), deep_object}) {
+    try {
+      Json::parse(deep);
+      FAIL() << "a 100000-deep document must be refused";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting too deep (limit 64)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(Json::parse(std::string(64, '[') + std::string(64, ']')));
+  EXPECT_THROW(Json::parse(std::string(65, '[') + std::string(65, ']')),
+               WireError);
 }
 
 TEST(DistJsonTest, EscapesRoundTrip) {
@@ -293,6 +313,7 @@ TEST(DistWireTest, CampaignConfigRoundTripsLosslessly) {
   config.capture_traces = true;
   config.seed_timeout_seconds = 2.5;
   config.seed_retries = 4;
+  config.seed_mem_limit_mb = 64;
 
   campaign::CampaignConfig copy =
       config_from_json(Json::parse(config_to_json(config)));
@@ -309,6 +330,17 @@ TEST(DistWireTest, CampaignConfigRoundTripsLosslessly) {
   EXPECT_EQ(copy.capture_traces, config.capture_traces);
   EXPECT_DOUBLE_EQ(copy.seed_timeout_seconds, config.seed_timeout_seconds);
   EXPECT_EQ(copy.seed_retries, config.seed_retries);
+  EXPECT_EQ(copy.seed_mem_limit_mb, config.seed_mem_limit_mb);
+}
+
+TEST(DistWireTest, FullConfigJsonIsPinned) {
+  // Every wire field at a non-default value at once; serve journals and
+  // broker HELLO frames embed exactly these bytes.
+  EXPECT_EQ(config_to_json(pinned_full_config()), kPinnedFullConfigJson);
+  EXPECT_EQ(make_broker_hello(pinned_full_config()),
+            "{\"type\":\"hello\",\"protocol\":" +
+                std::to_string(kProtocolVersion) +
+                ",\"config\":" + kPinnedFullConfigJson + "}");
 }
 
 TEST(DistWireTest, EveryMonitorModeRoundTrips) {

@@ -15,6 +15,7 @@
 #include "campaign/campaign.hpp"
 #include "chaos/chaos.hpp"
 #include "journal/journal.hpp"
+#include "pinned_config.hpp"
 
 namespace esv::journal {
 namespace {
@@ -177,6 +178,17 @@ TEST(JournalTest, ConfigDigestOfEachModeIsPinned) {
   EXPECT_EQ(config_digest(config), "d7fed35fdf8b666c");
   config.mode = sctc::MonitorMode::kBoth;
   EXPECT_EQ(config_digest(config), "b5ae80793881b519");
+}
+
+TEST(JournalTest, ConfigDigestOfAFullConfigIsPinned) {
+  // Every digested field at a non-default value at once.
+  campaign::CampaignConfig config = pinned_full_config();
+  EXPECT_EQ(config_digest(config), "e3020ef486c0c8f4");
+  // The digest hashes the effective capture flag: trace_dir implies it.
+  config.capture_traces = false;
+  EXPECT_EQ(config_digest(config), "25546fa700371bc1");
+  config.trace_dir = "traces";
+  EXPECT_EQ(config_digest(config), "e3020ef486c0c8f4");
 }
 
 TEST(JournalTest, WriterRecoverRoundTripsEveryField) {

@@ -23,6 +23,8 @@
 
 #include "chaos/chaos.hpp"
 #include "dist/wire.hpp"
+#include "journal/journal.hpp"
+#include "pinned_config.hpp"
 #include "serve/cache.hpp"
 #include "serve/persist.hpp"
 #include "serve/protocol.hpp"
@@ -222,6 +224,26 @@ TEST(ServeCacheTest, LookupCountsAndFirstInsertWins) {
 }
 
 // --- persistence ---------------------------------------------------------
+
+TEST(ServeProtocolTest, SubmitOfAFullConfigIsPinned) {
+  // Every shape and wire field at a non-default value at once; serve
+  // journals hold these bytes.
+  const CampaignConfig config = pinned_full_config();
+  const std::string submit = esv::serve::make_submit("tenant-a", config);
+  EXPECT_EQ(submit,
+            std::string("{\"type\":\"submit\",\"v\":1,\"tenant\":\"tenant-a\","
+                        "\"seed_lo\":7,\"seed_hi\":4242,\"workers\":5,"
+                        "\"config\":") +
+                kPinnedFullConfigJson + "}");
+  // Decoding the submit recovers every digested field and the shape.
+  const esv::dist::Json json = esv::dist::Json::parse(submit);
+  CampaignConfig decoded = esv::dist::config_from_json(json.at("config"));
+  esv::serve::apply_campaign_shape(json, decoded);
+  EXPECT_EQ(esv::journal::config_digest(decoded),
+            esv::journal::config_digest(config));
+  EXPECT_EQ(decoded.workers, 5u);
+  EXPECT_EQ(decoded.jobs, 3u);
+}
 
 TEST(ServePersistTest, RoundtripRecoversPendingAndCompleted) {
   const std::string path = temp_path("roundtrip.esvj");
@@ -546,11 +568,20 @@ TEST(ServeServerTest, MalformedSubmitsAreRejectedNotFatal) {
             std::string::npos)
       << rejected.string_or("reason", "");
 
+  // A config nested 100000 arrays deep is refused, not a stack overflow.
+  esv::dist::write_frame(fd, "{\"type\":\"submit\",\"v\":1,\"config\":" +
+                                 std::string(100000, '[') +
+                                 std::string(100000, ']') + "}");
+  rejected = await_frame(fd, esv::serve::FrameKind::kRejected);
+  EXPECT_NE(rejected.string_or("reason", "").find("nesting too deep"),
+            std::string::npos)
+      << rejected.string_or("reason", "");
+
   // The connection survived all of it.
   esv::dist::write_frame(fd, esv::serve::make_status_request());
   const esv::dist::Json status =
       await_frame(fd, esv::serve::FrameKind::kStatusReply);
-  EXPECT_EQ(status.u64_or("rejections", 0), 4u);
+  EXPECT_EQ(status.u64_or("rejections", 0), 5u);
   ::close(fd);
 }
 

@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <optional>
+#include <string>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "temporal/formula.hpp"
@@ -164,6 +166,46 @@ TEST_F(ParserTest, PslErrors) {
   EXPECT_THROW(parse_psl("eventually a", f), ParseError);  // missing '!'
   EXPECT_THROW(parse_psl("always", f), ParseError);
   EXPECT_THROW(parse_psl("a until", f), ParseError);
+}
+
+// Property text arrives from spec files and serve submits: nesting past the
+// parser's budget is a ParseError at the offending token, not a stack
+// overflow.
+TEST_F(ParserTest, DeepNestingIsAParseErrorInBothDialects) {
+  // `times` copies of `unit`, then the proposition, then `close` copies of
+  // `closer`.
+  const auto nest = [](std::string_view unit, int times,
+                       std::string_view closer = "", int close = 0) {
+    std::string out;
+    for (int i = 0; i < times; ++i) out.append(unit);
+    out.append("p");
+    for (int i = 0; i < close; ++i) out.append(closer);
+    return out;
+  };
+  constexpr int kDeep = 100000;
+  for (const Dialect dialect : {Dialect::kFltl, Dialect::kPsl}) {
+    try {
+      parse_property(nest("(", kDeep, ")", kDeep), dialect, f);
+      FAIL() << "100000 nested parentheses must be refused";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting too deep (limit 256)"),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.position(), 256u);  // the first '(' past the budget
+    }
+  }
+  // Chains of prefix operators and of right-associative operators.
+  for (const std::string_view unit :
+       {"! ", "X ", "F ", "G ", "p U ", "p -> "}) {
+    EXPECT_THROW(parse_fltl(nest(unit, kDeep), f), ParseError) << unit;
+  }
+  for (const std::string_view unit :
+       {"! ", "always ", "next ", "p until ", "p -> "}) {
+    EXPECT_THROW(parse_psl(nest(unit, kDeep), f), ParseError) << unit;
+  }
+  // Anything a human writes stays far inside the budget.
+  EXPECT_EQ(parse_fltl(nest("(", 100, ")", 100), f), f.prop("p"));
+  EXPECT_EQ(parse_psl(nest("(", 100, ")", 100), f), f.prop("p"));
 }
 
 TEST_F(ParserTest, DialectDispatch) {

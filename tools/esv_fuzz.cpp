@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "gen/differential.hpp"
 #include "gen/generator.hpp"
 #include "gen/shrink.hpp"
@@ -96,27 +97,6 @@ bool parse_seed_range(const std::string& text, Options& options) {
   return parse_u64(text.substr(0, dots), options.seed_lo) &&
          parse_u64(text.substr(dots + 2), options.seed_hi) &&
          options.seed_hi >= options.seed_lo;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::size_t line_count(const std::string& text) {
@@ -185,7 +165,7 @@ std::filesystem::path write_repro(const Options& options,
        << "  \"shrink_attempts\": " << shrunk.attempts << ",\n"
        << "  \"disagreements\": [\n";
   for (std::size_t i = 0; i < shrunk.disagreements.size(); ++i) {
-    json << "    \"" << json_escape(shrunk.disagreements[i]) << "\""
+    json << "    " << esv::common::json_string(shrunk.disagreements[i])
          << (i + 1 < shrunk.disagreements.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
