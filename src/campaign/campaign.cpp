@@ -1,9 +1,7 @@
 #include "campaign/campaign.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <thread>
-#include <vector>
 
 #include "campaign/seed_runner.hpp"
 
@@ -19,90 +17,17 @@ CampaignReport run(const CampaignConfig& config) {
   const CampaignSetup setup = prepare_campaign(config);
 
   CampaignReport report = make_report_skeleton(config, setup);
+  report.jobs = static_cast<unsigned>(std::min<std::uint64_t>(
+      std::max(1u, config.jobs), report.seeds.size()));
 
-  const std::uint64_t count = config.seed_hi - config.seed_lo + 1;
-  const unsigned jobs = static_cast<unsigned>(
-      std::min<std::uint64_t>(std::max(1u, config.jobs), count));
-  report.jobs = jobs;
-
-  // Seeds recovered from a checkpoint journal fill their slots up front and
-  // are never re-run (and never re-journaled): results are pure functions of
-  // (config, seed), so a recovered record is as good as a fresh computation.
-  std::vector<char> done(count, 0);
-  for (const SeedResult& recovered : config.resume_results) {
-    if (recovered.seed < config.seed_lo || recovered.seed > config.seed_hi) {
-      continue;
-    }
-    const std::uint64_t index = recovered.seed - config.seed_lo;
-    if (done[index]) continue;
-    report.seeds[index] = recovered;
-    done[index] = 1;
-  }
-
-  std::atomic<std::uint64_t> cursor{0};
-
-  // Whole-campaign deadline (--campaign-timeout): workers stop claiming new
-  // seeds past it; the unclaimed slots get deterministic deadline captures
-  // after the join. A seed already running finishes (per-seed preemption is
-  // seed_timeout_seconds' job).
-  const bool deadline_active = config.campaign_timeout_seconds > 0.0;
-  const auto deadline =
-      started + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        config.campaign_timeout_seconds));
-
-  const auto cancelled = [&config] {
-    return config.cancel != nullptr &&
-           config.cancel->load(std::memory_order_relaxed);
-  };
-
-  const auto worker = [&] {
-    SeedRunner runner(config, setup);
-    for (;;) {
-      // Cancellation and the deadline share one shape: stop claiming new
-      // seeds, let the seed in flight finish, capture the rest after join.
-      if (cancelled()) break;
-      if (deadline_active && std::chrono::steady_clock::now() >= deadline) {
-        break;
-      }
-      const std::uint64_t index =
-          cursor.fetch_add(1, std::memory_order_relaxed);
-      if (index >= count) break;
-      if (done[index]) continue;
-      report.seeds[index] = runner.run_seed(config.seed_lo + index);
-      done[index] = 1;
-      if (config.on_result) config.on_result(report.seeds[index]);
-    }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Deadline- or cancellation-cut slots: structured, deterministic captures.
-  // Not journaled (on_result never ran for them), so a --resume recomputes
-  // them. An explicit cancel wins the attribution when both apply.
-  const bool was_cancelled = cancelled();
-  for (std::uint64_t index = 0; index < count; ++index) {
-    if (done[index]) continue;
-    SeedResult& slot = report.seeds[index];
-    slot.seed = config.seed_lo + index;
-    if (was_cancelled) {
-      report.cancelled = true;
-      slot.error = "campaign: cancelled";
-    } else {
-      report.deadline_exceeded = true;
-      slot.error =
-          "campaign: wall-clock deadline exceeded (--campaign-timeout)";
-    }
-    slot.error_kind = "infrastructure";
-    slot.fault_plan_digest = setup.plan_digest;
-  }
+  // Whole-campaign deadline (--campaign-timeout) and cancellation: workers
+  // stop claiming new seeds, and the unclaimed slots get deterministic
+  // captures after the join. A seed already running finishes (per-seed
+  // preemption is seed_timeout_seconds' job). An explicit cancel wins the
+  // attribution when both apply.
+  SeedSlots seeds(config, setup, report);
+  seeds.run_in_process(report.jobs, campaign_deadline(config, started));
+  seeds.capture_unfinished(cancel_requested(config));
 
   finalize_report(config, setup, report);
 

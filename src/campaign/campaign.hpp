@@ -117,8 +117,9 @@ struct CampaignConfig {
   // Neither field crosses the wire: the journal lives with the orchestrator.
   /// When set, invoked once per freshly computed SeedResult, after the seed
   /// finishes and before the campaign completes — the write-ahead journal's
-  /// hook. In-process runs call it from worker threads (callee serializes);
-  /// the broker calls it from its event loop before acking the RESULT.
+  /// hook. In-process runs and the broker's degraded fallback call it from
+  /// worker threads (callee serializes); the broker otherwise calls it from
+  /// its event loop before acking the RESULT.
   /// Never called for resume_results. Must not throw.
   std::function<void(const SeedResult&)> on_result;
   /// Seeds already completed by a previous interrupted run (recovered from

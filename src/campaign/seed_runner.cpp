@@ -1,5 +1,7 @@
 #include "campaign/seed_runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -251,6 +253,9 @@ SeedRunner::SeedRunner(const CampaignConfig& config,
   } catch (...) {
     program_error_ = "worker setup failed: unknown exception";
   }
+  if (const char* env = std::getenv("ESV_CAMPAIGN_TEST_DIVERGE_SEED")) {
+    diverge_seed_ = std::strtoull(env, nullptr, 10);
+  }
 }
 
 SeedRunner::~SeedRunner() = default;
@@ -277,15 +282,12 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   // one state off the interpreted oracle, producing a deterministic
   // "monitor"-kind error capture. Lets resume/retry tests prove that monitor
   // errors are journaled and never re-run without patching the checker.
-  if (const char* env = std::getenv("ESV_CAMPAIGN_TEST_DIVERGE_SEED")) {
-    if (config.mode == sctc::MonitorMode::kBoth &&
-        std::strtoull(env, nullptr, 10) == seed &&
-        !checker.properties().empty()) {
-      const sctc::PropertyRecord& record = checker.properties().front();
-      if (record.automaton_states > 1) {
-        stack.checker.corrupt_compiled_for_test(
-            0, (record.compiled.state() + 1) % record.automaton_states);
-      }
+  if (diverge_seed_ == seed && config.mode == sctc::MonitorMode::kBoth &&
+      !checker.properties().empty()) {
+    const sctc::PropertyRecord& record = checker.properties().front();
+    if (record.automaton_states > 1) {
+      stack.checker.corrupt_compiled_for_test(
+          0, (record.compiled.state() + 1) % record.automaton_states);
     }
   }
 
@@ -424,6 +426,102 @@ SeedResult SeedRunner::run_seed(std::uint64_t seed) {
     result.fault_plan_digest = setup_.plan_digest;
   }
   return result;
+}
+
+bool cancel_requested(const CampaignConfig& config) {
+  return config.cancel != nullptr &&
+         config.cancel->load(std::memory_order_relaxed);
+}
+
+std::optional<std::chrono::steady_clock::time_point> campaign_deadline(
+    const CampaignConfig& config, std::chrono::steady_clock::time_point start) {
+  if (config.campaign_timeout_seconds <= 0.0) return std::nullopt;
+  return start +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(config.campaign_timeout_seconds));
+}
+
+SeedSlots::SeedSlots(const CampaignConfig& config, const CampaignSetup& setup,
+                     CampaignReport& report)
+    : config_(config),
+      setup_(setup),
+      report_(report),
+      filled_(report.seeds.size(), 0) {
+  for (const SeedResult& recovered : config.resume_results) {
+    if (recovered.seed < config.seed_lo || recovered.seed > config.seed_hi) {
+      continue;
+    }
+    const std::uint64_t index = recovered.seed - config.seed_lo;
+    if (!filled(index)) fill(index, recovered);
+  }
+}
+
+void SeedSlots::fill(std::uint64_t index, SeedResult result) {
+  report_.seeds[index] = std::move(result);
+  filled_[index] = 1;
+  ++filled_count_;
+}
+
+void SeedSlots::fill_error(std::uint64_t index, std::string error,
+                           unsigned crashes) {
+  SeedResult result;
+  result.seed = config_.seed_lo + index;
+  result.error = std::move(error);
+  result.error_kind = "infrastructure";
+  result.attempts = std::max(1u, crashes);
+  result.fault_plan_digest = setup_.plan_digest;
+  fill(index, std::move(result));
+}
+
+void SeedSlots::run_in_process(
+    unsigned jobs,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
+  if (complete()) return;
+  std::atomic<std::uint64_t> cursor{0};
+  // Each claimed index belongs to one thread, so threads write disjoint
+  // slots and mask bytes; filled_count_ is recounted after the join.
+  const auto worker = [&] {
+    SeedRunner runner(config_, setup_);
+    for (;;) {
+      // A cancel and the deadline both stop claiming; the seed in flight
+      // finishes, and capture_unfinished() takes the rest.
+      if (cancel_requested(config_)) break;
+      if (deadline && std::chrono::steady_clock::now() >= *deadline) break;
+      const std::uint64_t index =
+          cursor.fetch_add(1, std::memory_order_relaxed);
+      if (index >= size()) break;
+      if (filled_[index]) continue;
+      SeedResult& slot = report_.seeds[index];
+      slot = runner.run_seed(config_.seed_lo + index);
+      filled_[index] = 1;
+      if (config_.on_result) config_.on_result(slot);
+    }
+  };
+  // The calling thread is one of the workers, so jobs <= 1 starts none.
+  const std::uint64_t threads = std::min<std::uint64_t>(jobs, unfilled());
+  std::vector<std::thread> pool;
+  for (std::uint64_t i = 1; i < threads; ++i) pool.emplace_back(worker);
+  worker();
+  for (std::thread& t : pool) t.join();
+  filled_count_ = static_cast<std::uint64_t>(
+      std::count(filled_.begin(), filled_.end(), 1));
+}
+
+std::uint64_t SeedSlots::capture_unfinished(
+    bool cancelled, const std::vector<unsigned>& crashes) {
+  const char* error =
+      cancelled ? "campaign: cancelled"
+                : "campaign: wall-clock deadline exceeded (--campaign-timeout)";
+  std::uint64_t captured = 0;
+  for (std::uint64_t index = 0; index < size(); ++index) {
+    if (filled_[index]) continue;
+    fill_error(index, error, index < crashes.size() ? crashes[index] : 0);
+    ++captured;
+  }
+  if (captured != 0) {
+    (cancelled ? report_.cancelled : report_.deadline_exceeded) = true;
+  }
+  return captured;
 }
 
 CampaignReport make_report_skeleton(const CampaignConfig& config,

@@ -17,6 +17,10 @@
 //   SeedRunner            one per worker thread; runs each seed's SeedStack
 //                         with error classification and the bounded
 //                         infrastructure-retry policy
+//   SeedSlots             a seed slot's life: resume fill, the in-process
+//                         claim loop, and the capture of slots a cancel or
+//                         deadline left unfinished — shared by the pool and
+//                         the broker's degraded fallback
 //   make_report_skeleton  the config-echo half of a CampaignReport
 //   finalize_report       deterministic aggregation over report.seeds in
 //                         ascending seed order, metrics merge, and trace_dir
@@ -155,6 +159,64 @@ class SeedRunner {
   const CampaignSetup& setup_;
   std::unique_ptr<CompiledProgram> program_;
   std::string program_error_;
+  /// ESV_CAMPAIGN_TEST_DIVERGE_SEED, read once (see run_attempt).
+  std::optional<std::uint64_t> diverge_seed_;
+};
+
+/// config.cancel is set and flipped true.
+bool cancel_requested(const CampaignConfig& config);
+
+/// The instant config.campaign_timeout_seconds after `start`; nullopt when
+/// the campaign has no deadline.
+std::optional<std::chrono::steady_clock::time_point> campaign_deadline(
+    const CampaignConfig& config, std::chrono::steady_clock::time_point start);
+
+/// The seed slots of one campaign: report.seeds (one per seed, index =
+/// seed - seed_lo) and which of them hold a result. `config`, `setup` and
+/// `report` must outlive it.
+class SeedSlots {
+ public:
+  /// Resume fill: each in-range config.resume_results entry fills its slot
+  /// (the first per seed wins). Results are pure functions of (config,
+  /// seed), so a resumed slot is never re-run and never re-journaled.
+  SeedSlots(const CampaignConfig& config, const CampaignSetup& setup,
+            CampaignReport& report);
+  SeedSlots(const SeedSlots&) = delete;
+  SeedSlots& operator=(const SeedSlots&) = delete;
+
+  std::uint64_t size() const { return filled_.size(); }
+  std::uint64_t unfilled() const { return size() - filled_count_; }
+  bool complete() const { return filled_count_ == size(); }
+  bool filled(std::uint64_t index) const { return filled_[index] != 0; }
+  /// Stores `result` in the unfilled slot `index`.
+  void fill(std::uint64_t index, SeedResult result);
+  /// Fills slot `index` with an "infrastructure" error, the plan digest and
+  /// attempts = max(1, crashes): the seed never finished a run.
+  void fill_error(std::uint64_t index, std::string error, unsigned crashes);
+
+  /// In-process claim loop: runs the unfilled slots on min(jobs, unfilled())
+  /// threads, the calling thread among them (jobs <= 1 starts none).
+  /// Claiming stops once config.cancel is set or `deadline` passes; a
+  /// running seed finishes. config.on_result runs once per fresh result, on
+  /// the thread that computed it.
+  void run_in_process(
+      unsigned jobs,
+      std::optional<std::chrono::steady_clock::time_point> deadline);
+
+  /// Unfinished-slot capture: each unfilled slot becomes a fill_error()
+  /// naming the cancel or the deadline, with crashes[index] (0 when
+  /// `crashes` is empty), and the report's matching flag is set. These are
+  /// never journaled, so a --resume recomputes them. Returns how many slots
+  /// were captured.
+  std::uint64_t capture_unfinished(bool cancelled,
+                                   const std::vector<unsigned>& crashes = {});
+
+ private:
+  const CampaignConfig& config_;
+  const CampaignSetup& setup_;
+  CampaignReport& report_;
+  std::vector<char> filled_;
+  std::uint64_t filled_count_ = 0;
 };
 
 /// Fills the configuration-echo fields of a report (seed range, approach,

@@ -24,156 +24,146 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// RAM large enough for the software's data segment, rounded up.
-std::uint32_t ram_bytes_for(const minic::Program& program) {
-  const std::uint32_t end = program.data_segment_end();
-  return (end + 0xFFFu) & ~0xFFFu;
-}
+/// The EEPROM emulation platform both approaches verify: the compiled
+/// software, page-rounded RAM with the flash controller's MMIO window
+/// mapped, the fault-injecting inputs, return-code coverage, the globals the
+/// testbench reads, and the kernel. Built before the timed region: this is
+/// the compile/link step of the design flow.
+struct Platform {
+  Platform(const OperationSpec& op, const ExperimentConfig& config)
+      : program(minic::compile(eeprom_emulation_source())),
+        memory((program.data_segment_end() + 0xFFFu) & ~0xFFFu),
+        flash_dev(eeprom_flash_config()),
+        inputs(config.seed),
+        coverage(op.return_codes),
+        tc_addr(program.find_global("test_cases")->address),
+        ret_addr(program.find_global(op.ret_global)->address) {
+    memory.map_device(kFlashMmioBase, flash_dev.window_bytes(), flash_dev);
+    stimulus::configure_eeprom_inputs(inputs, config.fault_permille);
+    result.operation = op.name;
+    result.property_text =
+        response_property(op, config.time_bound, config.shape);
+  }
 
-void fill_result_from_checker(ExperimentResult& result,
-                              const sctc::TemporalChecker& checker) {
-  const sctc::PropertyRecord& record = checker.properties().front();
-  result.verdict = record.verdict();
-  result.temporal_steps = checker.steps();
-  result.automaton_states = record.automaton_states;
-}
+  std::uint64_t test_cases() const { return memory.sctc_read_uint(tc_addr); }
+  void observe_return_code() {
+    coverage.observe(memory.sctc_read_uint(ret_addr));
+  }
+
+  /// Stops the verification clock started at `started`, then fills the
+  /// result tail from the platform and the checker's one property.
+  ExperimentResult finish(Clock::time_point started,
+                          const sctc::TemporalChecker& checker) {
+    result.verification_seconds = seconds_since(started);
+    result.test_cases = test_cases();
+    result.coverage_percent = coverage.percent();
+    result.coverage_anomalies = coverage.anomaly_count();
+    const sctc::PropertyRecord& record = checker.properties().front();
+    result.verdict = record.verdict();
+    result.temporal_steps = checker.steps();
+    result.automaton_states = record.automaton_states;
+    return std::move(result);
+  }
+
+  minic::Program program;
+  mem::AddressSpace memory;
+  flash::FlashController flash_dev;
+  stimulus::RandomInputProvider inputs;
+  stimulus::ReturnCodeCoverage coverage;
+  const std::uint32_t tc_addr;
+  const std::uint32_t ret_addr;
+  ExperimentResult result;
+  sim::Simulation sim;
+};
 
 }  // namespace
 
 ExperimentResult run_with_microprocessor(const OperationSpec& op,
                                          const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.operation = op.name;
-
-  // Build the platform (not counted as verification time: this is the
-  // compile/link step of the design flow).
-  minic::Program program = minic::compile(eeprom_emulation_source());
-  cpu::CodeImage image = cpu::compile_to_image(program);
-  mem::AddressSpace memory(ram_bytes_for(program));
-  flash::FlashController flash_dev(eeprom_flash_config());
-  memory.map_device(kFlashMmioBase, flash_dev.window_bytes(), flash_dev);
-  stimulus::RandomInputProvider inputs(config.seed);
-  stimulus::configure_eeprom_inputs(inputs, config.fault_permille);
-  stimulus::ReturnCodeCoverage coverage(op.return_codes);
-
-  const std::uint32_t flag_addr = program.find_global("flag")->address;
-  const std::uint32_t tc_addr = program.find_global("test_cases")->address;
-  const std::uint32_t ret_addr =
-      program.find_global(op.ret_global)->address;
-  result.property_text = response_property(op, config.time_bound, config.shape);
-
-  sim::Simulation sim;
-  sim::Clock clock(sim, "clk", sim::Time::ns(10));
-  cpu::Cpu core(sim, "cpu", image, memory, inputs, clock);
+  Platform p(op, config);
+  const cpu::CodeImage image = cpu::compile_to_image(p.program);
+  sim::Clock clock(p.sim, "clk", sim::Time::ns(10));
+  cpu::Cpu core(p.sim, "cpu", image, p.memory, p.inputs, clock);
 
   const auto started = Clock::now();
-  double ar_seconds = 0.0;
-
   sctc::EswMonitor monitor(
-      sim, "esw", clock.posedge_event(), memory, flag_addr,
+      p.sim, "esw", clock.posedge_event(), p.memory,
+      p.program.find_global("flag")->address,
       [&](sctc::TemporalChecker& checker) {
-        register_operation_propositions(checker, memory, program, op);
+        register_operation_propositions(checker, p.memory, p.program, op);
         const auto synth_start = Clock::now();
-        checker.add_property(op.name, result.property_text);
-        ar_seconds = seconds_since(synth_start);
+        checker.add_property(op.name, p.result.property_text);
+        p.result.ar_generation_seconds = seconds_since(synth_start);
       },
       config.mode);
 
   // Testbench supervision: coverage sampling and stop conditions, clocked
   // like the checker.
-  sim.create_method(
+  p.sim.create_method(
       "supervisor",
       [&] {
-        coverage.observe(memory.sctc_read_uint(ret_addr));
-        const std::uint64_t test_cases = memory.sctc_read_uint(tc_addr);
+        p.observe_return_code();
         const bool decided = monitor.initialized() &&
                              monitor.checker().all_decided();
-        if (test_cases >= config.max_test_cases || decided ||
+        if (p.test_cases() >= config.max_test_cases || decided ||
             core.trapped() || core.halted() ||
             clock.cycles() >= config.max_steps) {
-          sim.stop();
+          p.sim.stop();
         }
       },
       {&clock.posedge_event()}, /*run_at_start=*/false);
 
-  sim.run();
+  p.sim.run();
 
-  result.verification_seconds = seconds_since(started);
-  result.ar_generation_seconds = ar_seconds;
-  result.test_cases = memory.sctc_read_uint(tc_addr);
-  result.coverage_percent = coverage.percent();
-  result.coverage_anomalies = coverage.anomaly_count();
-  result.cpu_trapped = core.trapped();
-  fill_result_from_checker(result, monitor.checker());
-  return result;
+  p.result.cpu_trapped = core.trapped();
+  return p.finish(started, monitor.checker());
 }
 
 ExperimentResult run_with_esw_model(const OperationSpec& op,
                                     const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.operation = op.name;
-
-  minic::Program program = minic::compile(eeprom_emulation_source());
-  esw::EswProgram lowered = esw::lower_program(program);
-  mem::AddressSpace memory(ram_bytes_for(program));
-  flash::FlashController flash_dev(eeprom_flash_config());
-  memory.map_device(kFlashMmioBase, flash_dev.window_bytes(), flash_dev);
-  stimulus::RandomInputProvider inputs(config.seed);
-  stimulus::configure_eeprom_inputs(inputs, config.fault_permille);
-  stimulus::ReturnCodeCoverage coverage(op.return_codes);
-
-  const std::uint32_t tc_addr = program.find_global("test_cases")->address;
-  const std::uint32_t ret_addr =
-      program.find_global(op.ret_global)->address;
-  result.property_text = response_property(op, config.time_bound, config.shape);
-
-  sim::Simulation sim;
-  sctc::TemporalChecker checker(sim, "sctc", config.mode);
-  register_operation_propositions(checker, memory, program, op);
+  Platform p(op, config);
+  const esw::EswProgram lowered = esw::lower_program(p.program);
+  sctc::TemporalChecker checker(p.sim, "sctc", config.mode);
+  register_operation_propositions(checker, p.memory, p.program, op);
 
   const auto started = Clock::now();
   const auto synth_start = Clock::now();
-  checker.add_property(op.name, result.property_text);
-  result.ar_generation_seconds = seconds_since(synth_start);
+  checker.add_property(op.name, p.result.property_text);
+  p.result.ar_generation_seconds = seconds_since(synth_start);
 
   if (config.esw_in_kernel) {
     // The paper's setup: the derived model is a thread process whose
     // pc event triggers the checker through the kernel.
-    esw::EswModel model(sim, "esw", program, lowered, memory, inputs);
+    esw::EswModel model(p.sim, "esw", p.program, lowered, p.memory, p.inputs);
     checker.bind_trigger(model.pc_event());
-    sim.create_method(
+    p.sim.create_method(
         "supervisor",
         [&] {
-          coverage.observe(memory.sctc_read_uint(ret_addr));
+          p.observe_return_code();
           if (checker.all_decided() || model.finished() ||
-              memory.sctc_read_uint(tc_addr) >= config.max_test_cases ||
+              p.test_cases() >= config.max_test_cases ||
               model.interpreter().steps_executed() >= config.max_steps) {
-            sim.stop();
+            p.sim.stop();
           }
         },
         {&model.pc_event()}, /*run_at_start=*/false);
-    sim.run();
+    p.sim.run();
   } else {
     // Kernel-free lockstep: identical semantics (one statement = one
     // temporal step), maximum speed.
-    esw::Interpreter interpreter(program, lowered, memory, inputs);
+    esw::Interpreter interpreter(p.program, lowered, p.memory, p.inputs);
     std::uint64_t steps = 0;
     while (steps < config.max_steps) {
       if (!interpreter.step()) break;
       ++steps;
       checker.step_all();
-      coverage.observe(memory.sctc_read_uint(ret_addr));
+      p.observe_return_code();
       if (checker.all_decided()) break;
-      if (memory.sctc_read_uint(tc_addr) >= config.max_test_cases) break;
+      if (p.test_cases() >= config.max_test_cases) break;
     }
   }
 
-  result.verification_seconds = seconds_since(started);
-  result.test_cases = memory.sctc_read_uint(tc_addr);
-  result.coverage_percent = coverage.percent();
-  result.coverage_anomalies = coverage.anomaly_count();
-  fill_result_from_checker(result, checker);
-  return result;
+  return p.finish(started, checker);
 }
 
 }  // namespace esv::casestudy

@@ -9,18 +9,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -71,6 +68,8 @@ class Broker {
       : config_(config),
         options_(options),
         setup_(campaign::prepare_campaign(config)),
+        report_(campaign::make_report_skeleton(config, setup_)),
+        seeds_(config, setup_, report_),
         backoff_(options.backoff_base_seconds, options.backoff_cap_seconds,
                  options.backoff_seed),
         chaos_seed_text_(std::to_string(options.chaos_seed)) {
@@ -78,13 +77,13 @@ class Broker {
     // any other write path would still raise SIGPIPE and kill the broker.
     // Ignoring it process-wide turns every such race into a clean WireError.
     std::signal(SIGPIPE, SIG_IGN);
-    count_ = config.seed_hi - config.seed_lo + 1;
+    const std::uint64_t count = seeds_.size();
     jobs_ = config.jobs < 1 ? 1 : config.jobs;
     std::uint64_t workers = config.workers < 1 ? 1 : config.workers;
-    workers_ = static_cast<unsigned>(std::min<std::uint64_t>(workers, count_));
+    workers_ = static_cast<unsigned>(std::min<std::uint64_t>(workers, count));
     shard_ = options.shard_size != 0
                  ? options.shard_size
-                 : std::clamp<std::uint64_t>(count_ / (workers_ * 4), 1, 64);
+                 : std::clamp<std::uint64_t>(count / (workers_ * 4), 1, 64);
 
     binary_ = config.worker_binary.empty() ? default_worker_binary()
                                            : config.worker_binary;
@@ -99,31 +98,16 @@ class Broker {
 
     // What crosses the wire: trace_dir stays broker-side (files are written
     // by finalize_report after the merge), so workers just capture traces.
-    // Checkpointing stays broker-side too — workers always compute fresh.
-    wire_config_ = config;
-    wire_config_.capture_traces =
+    campaign::CampaignConfig wire_config = config;
+    wire_config.capture_traces =
         config.capture_traces || !config.trace_dir.empty();
-    wire_config_.on_result = nullptr;
-    wire_config_.resume_results.clear();
+    hello_ = make_broker_hello(wire_config);
 
-    report_ = campaign::make_report_skeleton(config, setup_);
     report_.jobs = jobs_;
-    filled_.assign(count_, 0);
-    crash_count_.assign(count_, 0);
-    // Seeds recovered from a checkpoint journal fill their slots up front;
-    // they are never dispatched and never re-journaled.
-    for (const campaign::SeedResult& recovered : config.resume_results) {
-      if (recovered.seed < config.seed_lo || recovered.seed > config.seed_hi) {
-        continue;
-      }
-      const std::uint64_t index = recovered.seed - config.seed_lo;
-      if (filled_[index]) continue;
-      report_.seeds[index] = recovered;
-      filled_[index] = 1;
-      ++filled_count_;
-    }
-    for (std::uint64_t i = 0; i < count_; ++i) {
-      if (!filled_[i]) pending_.push_back(i);
+    crash_count_.assign(count, 0);
+    // Resumed seeds already fill their slots: they are never dispatched.
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if (!seeds_.filled(i)) pending_.push_back(i);
     }
 
     open_socket();
@@ -136,21 +120,25 @@ class Broker {
   campaign::CampaignReport run() {
     Clock::time_point start = Clock::now();
     last_progress_ = start;
-    if (config_.campaign_timeout_seconds > 0.0) {
-      deadline_active_ = true;
-      deadline_tp_ = start + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(
-                                     config_.campaign_timeout_seconds));
-    }
+    deadline_ = campaign::campaign_deadline(config_, start);
     // A fully resumed campaign has nothing left to dispatch: don't spawn.
-    if (filled_count_ < count_) {
+    if (!seeds_.complete()) {
       for (WorkerSlot& slot : slots_) spawn(slot);
       event_loop();
     }
     shutdown_workers();
     // Only a deadline or cancellation abort leaves slots unfilled past the
-    // event loop (abandonment and degradation both fill every slot).
-    if (filled_count_ < count_) fill_deadline_errors();
+    // event loop (abandonment and degradation both fill every slot). The
+    // event loop's attribution stands if it chose one (a cancel arriving
+    // after a deadline break must not relabel the abort); otherwise an
+    // explicit cancel wins.
+    if (!seeds_.complete()) {
+      const bool cancelled =
+          report_.cancelled ||
+          (!report_.deadline_exceeded && campaign::cancel_requested(config_));
+      metrics_.counter("dist.deadline_seeds")
+          .add(seeds_.capture_unfinished(cancelled, crash_count_));
+    }
 
     report_.distributed = true;
     report_.workers = workers_;
@@ -323,7 +311,7 @@ class Broker {
       return;
     }
     for (std::uint64_t index : slot.assigned) {
-      if (filled_[index]) continue;
+      if (seeds_.filled(index)) continue;
       ++crash_count_[index];
       if (crash_count_[index] <= config_.seed_retries) {
         // Backed-off re-dispatch: a seed that just took a worker down waits
@@ -339,7 +327,7 @@ class Broker {
       }
     }
     slot.assigned.clear();
-    if (filled_count_ >= count_ && deferred_.empty()) return;
+    if (seeds_.complete() && deferred_.empty()) return;
     if (slot.respawns >= options_.max_respawns) {
       slot.retired = true;
       return;
@@ -443,7 +431,7 @@ class Broker {
     while (!pending_.empty() && seeds.size() < shard_) {
       std::uint64_t index = pending_.front();
       pending_.pop_front();
-      if (filled_[index]) continue;
+      if (seeds_.filled(index)) continue;
       slot.assigned.push_back(index);
       seeds.push_back(config_.seed_lo + index);
     }
@@ -482,21 +470,13 @@ class Broker {
   }
 
   void abandon(std::uint64_t index, const std::string& reason) {
-    campaign::SeedResult result;
-    result.seed = config_.seed_lo + index;
-    result.error = "distributed: " + reason;
-    result.error_kind = "infrastructure";
-    result.attempts = std::max(1u, crash_count_[index]);
-    result.fault_plan_digest = setup_.plan_digest;
-    report_.seeds[index] = std::move(result);
-    filled_[index] = 1;
-    ++filled_count_;
+    seeds_.fill_error(index, "distributed: " + reason, crash_count_[index]);
     metrics_.counter("dist.abandoned_seeds").add();
   }
 
   void abandon_remaining(const std::string& reason) {
-    for (std::uint64_t index = 0; index < count_; ++index) {
-      if (!filled_[index]) abandon(index, reason);
+    for (std::uint64_t index = 0; index < seeds_.size(); ++index) {
+      if (!seeds_.filled(index)) abandon(index, reason);
     }
   }
 
@@ -510,7 +490,7 @@ class Broker {
       auto it = std::find(slot.assigned.begin(), slot.assigned.end(), index);
       if (it != slot.assigned.end()) slot.assigned.erase(it);
     }
-    if (filled_[index]) {
+    if (seeds_.filled(index)) {
       metrics_.counter("dist.duplicate_results").add();
       return;
     }
@@ -520,9 +500,7 @@ class Broker {
     // are deliberately NOT journaled — they record a transient infrastructure
     // failure, and a resumed run should retry those seeds, not replay them.
     if (config_.on_result) config_.on_result(result);
-    report_.seeds[index] = std::move(result);
-    filled_[index] = 1;
-    ++filled_count_;
+    seeds_.fill(index, std::move(result));
     last_progress_ = Clock::now();
     metrics_.counter("dist.results_rx").add();
   }
@@ -619,7 +597,7 @@ class Broker {
     slot->connected = true;
     slot->last_seen = Clock::now();
     events_.worker_event("connect", slot->id, slot->generation);
-    if (send_to(*slot, make_broker_hello(wire_config_))) {
+    if (send_to(*slot, hello_)) {
       // A worker that finishes its handshake while the broker is already
       // draining (it was respawned just before the last seed landed) gets an
       // immediate SHUTDOWN, so the drain never waits out the grace period.
@@ -743,29 +721,29 @@ class Broker {
   }
 
   void event_loop() {
-    while (filled_count_ < count_) {
+    while (!seeds_.complete()) {
       reap_workers();
       check_timeouts();
       check_progress();
       promote_deferred();
       maybe_respawn();
-      if (filled_count_ >= count_) break;
-      if (cancel_requested()) {
+      if (seeds_.complete()) break;
+      if (campaign::cancel_requested(config_)) {
         // Structured cancellation abort: identical shape to the deadline —
         // stop dispatching, shut the fleet down, capture the rest.
         metrics_.counter("dist.cancel_aborts").add();
         events_.campaign_event(
-            "cancelled", std::to_string(count_ - filled_count_) +
+            "cancelled", std::to_string(seeds_.unfilled()) +
                              " seeds unfinished at cancellation");
         report_.cancelled = true;
         break;
       }
-      if (deadline_active_ && Clock::now() >= deadline_tp_) {
+      if (deadline_ && Clock::now() >= *deadline_) {
         // Structured deadline abort: stop dispatching, shut the fleet down,
         // and let run() capture the unfinished seeds deterministically.
         metrics_.counter("dist.deadline_aborts").add();
         events_.campaign_event(
-            "deadline", std::to_string(count_ - filled_count_) +
+            "deadline", std::to_string(seeds_.unfilled()) +
                             " seeds unfinished at --campaign-timeout");
         report_.deadline_exceeded = true;
         break;
@@ -794,88 +772,17 @@ class Broker {
 
   /// Graceful degradation (docs/RESILIENCE.md): every worker slot is dead
   /// with no respawn budget left, so the remaining seeds finish in-process
-  /// on jobs_ threads through the same SeedRunner path the workers use. The
+  /// on jobs_ threads through the same claim loop as campaign::run. The
   /// per-seed results are identical by construction; only the operational
   /// `degraded` flag and the timing section differ from a healthy run.
   void degrade_in_process() {
     report_.degraded = true;
     metrics_.counter("dist.degradations").add();
-    std::vector<std::uint64_t> remaining;
-    for (std::uint64_t index = 0; index < count_; ++index) {
-      if (!filled_[index]) remaining.push_back(index);
-    }
     events_.campaign_event(
-        "degraded", std::to_string(remaining.size()) +
+        "degraded", std::to_string(seeds_.unfilled()) +
                         " seeds moved in-process (no live workers remain "
                         "and the respawn budget is spent)");
-    pending_.clear();
-    deferred_.clear();
-    if (remaining.empty()) return;
-    std::atomic<std::size_t> cursor{0};
-    std::mutex mutex;
-    const unsigned threads = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, remaining.size()));
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        campaign::SeedRunner runner(wire_config_, setup_);
-        for (;;) {
-          const std::size_t at = cursor.fetch_add(1);
-          if (at >= remaining.size()) return;
-          if (cancel_requested()) return;
-          if (deadline_active_ && Clock::now() >= deadline_tp_) return;
-          const std::uint64_t index = remaining[at];
-          campaign::SeedResult result =
-              runner.run_seed(config_.seed_lo + index);
-          std::lock_guard<std::mutex> lock(mutex);
-          if (filled_[index]) continue;
-          if (config_.on_result) config_.on_result(result);
-          report_.seeds[index] = std::move(result);
-          filled_[index] = 1;
-          ++filled_count_;
-        }
-      });
-    }
-    for (std::thread& thread : pool) thread.join();
-  }
-
-  bool cancel_requested() const {
-    return config_.cancel != nullptr &&
-           config_.cancel->load(std::memory_order_relaxed);
-  }
-
-  /// Deterministic captures for seeds a deadline or cancellation abort left
-  /// unfinished. These are never journaled (the resume path should recompute
-  /// them) and carry error_kind "infrastructure" like abandonment. An
-  /// explicit cancel wins the attribution when both apply.
-  void fill_deadline_errors() {
-    // Keep the event loop's attribution if it already chose one (a cancel
-    // arriving after a deadline break must not relabel the abort).
-    const bool was_cancelled =
-        report_.cancelled ||
-        (!report_.deadline_exceeded && cancel_requested());
-    if (was_cancelled) {
-      report_.cancelled = true;
-    } else {
-      report_.deadline_exceeded = true;
-    }
-    for (std::uint64_t index = 0; index < count_; ++index) {
-      if (filled_[index]) continue;
-      campaign::SeedResult result;
-      result.seed = config_.seed_lo + index;
-      result.error =
-          was_cancelled
-              ? "campaign: cancelled"
-              : "campaign: wall-clock deadline exceeded (--campaign-timeout)";
-      result.error_kind = "infrastructure";
-      result.attempts = std::max(1u, crash_count_[index]);
-      result.fault_plan_digest = setup_.plan_digest;
-      report_.seeds[index] = std::move(result);
-      filled_[index] = 1;
-      ++filled_count_;
-      metrics_.counter("dist.deadline_seeds").add();
-    }
+    seeds_.run_in_process(jobs_, deadline_);
   }
 
   void shutdown_workers() {
@@ -919,10 +826,10 @@ class Broker {
   const campaign::CampaignConfig& config_;
   BrokerOptions options_;
   campaign::CampaignSetup setup_;
-  campaign::CampaignConfig wire_config_;
   campaign::CampaignReport report_;
+  campaign::SeedSlots seeds_;
+  std::string hello_;  // the HELLO frame every worker incarnation gets
 
-  std::uint64_t count_ = 0;
   unsigned jobs_ = 1;
   unsigned workers_ = 1;
   std::uint64_t shard_ = 1;
@@ -937,16 +844,13 @@ class Broker {
   std::deque<std::uint64_t> pending_;  // undispatched seed indices
   /// Crashed-seed re-dispatches waiting out their backoff: (due, index).
   std::vector<std::pair<Clock::time_point, std::uint64_t>> deferred_;
-  std::vector<char> filled_;
   std::vector<unsigned> crash_count_;  // crashes while the seed was in flight
-  std::uint64_t filled_count_ = 0;
   bool draining_ = false;
 
   BackoffSchedule backoff_;
   std::string chaos_seed_text_;
   Clock::time_point last_progress_{};  // progress-watchdog anchor
-  bool deadline_active_ = false;
-  Clock::time_point deadline_tp_{};
+  std::optional<Clock::time_point> deadline_;
 
   obs::MetricsRegistry metrics_;
   obs::MetricsSnapshot worker_metrics_;

@@ -4,6 +4,8 @@
 // runner — any scheduling dependence shows up as a table diff.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 
 #include "campaign/campaign.hpp"
@@ -328,6 +330,72 @@ check terminates: F done
     EXPECT_TRUE(seed.fault_plan_digest.empty());
   }
   EXPECT_EQ(nominal.verdict_table().find("plan="), std::string::npos);
+}
+
+TEST(CampaignTest, UnfinishedSlotCapturesAreKnownAnswers) {
+  // Every slot a deadline or a cancel leaves unfinished is a deterministic
+  // infrastructure error carrying the plan digest; on_result (the journal
+  // hook) never runs for it, and a resumed slot keeps its result. The bytes
+  // are known answers; DistBrokerTest pins the same ones for the broker.
+  CampaignConfig config = blinker_config(1, 6, 2);
+  config.program_source = R"(
+int cycles;
+void main(void) {
+  while (cycles < 50) {
+    int x = __in(x);
+    assert(x < 3);
+    cycles = cycles + 1;
+  }
+}
+)";
+  config.spec_text = R"(
+input x 0 3
+prop done = cycles >= 50
+check terminates: F done
+)";
+  config.fault_plan_text = "bitflip cycles window 10..10\n";
+  std::atomic<int> on_result_calls{0};
+  config.on_result = [&](const SeedResult&) { ++on_result_calls; };
+  const auto expect_captured = [](const SeedResult& seed, const char* error) {
+    EXPECT_EQ(seed.error, error) << seed.seed;
+    EXPECT_EQ(seed.error_kind, "infrastructure") << seed.seed;
+    EXPECT_EQ(seed.fault_plan_digest, "e95081c9a5c95ff4") << seed.seed;
+    EXPECT_EQ(seed.attempts, 1u) << seed.seed;
+  };
+
+  config.campaign_timeout_seconds = 1e-9;  // past before the first claim
+  const CampaignReport late = run(config);
+  EXPECT_TRUE(late.deadline_exceeded);
+  EXPECT_FALSE(late.cancelled);
+  ASSERT_EQ(late.seeds.size(), 6u);
+  for (const SeedResult& seed : late.seeds) {
+    expect_captured(
+        seed, "campaign: wall-clock deadline exceeded (--campaign-timeout)");
+  }
+
+  CampaignConfig checkpoint = blinker_config(3, 3, 1);
+  checkpoint.program_source = config.program_source;
+  checkpoint.spec_text = config.spec_text;
+  checkpoint.fault_plan_text = config.fault_plan_text;
+  config.resume_results = run(checkpoint).seeds;
+  ASSERT_EQ(config.resume_results.size(), 1u);
+  config.campaign_timeout_seconds = 0.0;
+  config.cancel = std::make_shared<std::atomic<bool>>(true);
+  const CampaignReport cancelled = run(config);
+  EXPECT_TRUE(cancelled.cancelled);
+  EXPECT_FALSE(cancelled.deadline_exceeded);
+  ASSERT_EQ(cancelled.seeds.size(), 6u);
+  for (const SeedResult& seed : cancelled.seeds) {
+    if (seed.seed == 3) {
+      EXPECT_TRUE(seed.error.empty());
+      EXPECT_EQ(seed.steps, 11u);
+      EXPECT_EQ(seed.injected_faults, 1u);
+    } else {
+      expect_captured(seed, "campaign: cancelled");
+    }
+  }
+  EXPECT_EQ(cancelled.error_seeds, 5u);
+  EXPECT_EQ(on_result_calls.load(), 0);
 }
 
 TEST(CampaignTest, MergedCoverageIsSumOfSeeds) {

@@ -14,7 +14,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -230,10 +234,19 @@ TEST(DistBrokerTest, WorkerThatDiesOnStartupDegradesToInProcess) {
 
   campaign::CampaignConfig config = blinker_config(1, 4, 2);
   config.worker_binary = "/bin/false";  // executes, exits, never connects
+  // The journal hook still runs exactly once per freshly computed seed.
+  std::mutex mutex;
+  std::map<std::uint64_t, int> on_result_calls;
+  config.on_result = [&](const campaign::SeedResult& result) {
+    std::lock_guard<std::mutex> lock(mutex);
+    ++on_result_calls[result.seed];
+  };
   BrokerOptions options;
   options.max_respawns = 1;
   const campaign::CampaignReport report = run_distributed(config, options);
   ASSERT_EQ(report.seeds.size(), 4u);
+  EXPECT_EQ(on_result_calls,
+            (std::map<std::uint64_t, int>{{1, 1}, {2, 1}, {3, 1}, {4, 1}}));
   EXPECT_TRUE(report.degraded);
   EXPECT_EQ(report.error_seeds, 0u);
   EXPECT_NE(report.dist_metrics.counters.at("dist.degradations"), 0u);
@@ -274,6 +287,55 @@ TEST(DistBrokerTest, CampaignDeadlineAbortsWithStructuredCaptures) {
   // the deterministic deadline capture, and every slot is filled.
   EXPECT_GE(deadline_seeds, 1u);
   EXPECT_NE(report.dist_metrics.counters.count("dist.deadline_aborts"), 0u);
+}
+
+TEST(DistBrokerTest, UnfinishedSlotCapturesMatchInProcessKnownAnswers) {
+  // The broker's abort captures are the same known answers as
+  // CampaignTest.UnfinishedSlotCapturesAreKnownAnswers: both the deadline
+  // and a cancel set before the run cut every slot before any dispatch.
+  campaign::CampaignConfig config = blinker_config(1, 6, 2);
+  config.program_source = R"(
+int cycles;
+void main(void) {
+  while (cycles < 50) {
+    int x = __in(x);
+    assert(x < 3);
+    cycles = cycles + 1;
+  }
+}
+)";
+  config.spec_text = R"(
+input x 0 3
+prop done = cycles >= 50
+check terminates: F done
+)";
+  config.fault_plan_text = "bitflip cycles window 10..10\n";
+  int on_result_calls = 0;
+  config.on_result = [&](const campaign::SeedResult&) { ++on_result_calls; };
+  for (const bool cancel : {false, true}) {
+    if (cancel) {
+      config.campaign_timeout_seconds = 0.0;
+      config.cancel = std::make_shared<std::atomic<bool>>(true);
+    } else {
+      config.campaign_timeout_seconds = 1e-9;
+    }
+    const campaign::CampaignReport report = run_distributed(config);
+    EXPECT_EQ(report.cancelled, cancel);
+    EXPECT_EQ(report.deadline_exceeded, !cancel);
+    EXPECT_EQ(report.dist_metrics.counters.at("dist.deadline_seeds"), 6u);
+    ASSERT_EQ(report.seeds.size(), 6u);
+    for (const campaign::SeedResult& seed : report.seeds) {
+      EXPECT_EQ(seed.error,
+                cancel ? "campaign: cancelled"
+                       : "campaign: wall-clock deadline exceeded "
+                         "(--campaign-timeout)")
+          << seed.seed;
+      EXPECT_EQ(seed.error_kind, "infrastructure") << seed.seed;
+      EXPECT_EQ(seed.fault_plan_digest, "e95081c9a5c95ff4") << seed.seed;
+      EXPECT_EQ(seed.attempts, 1u) << seed.seed;
+    }
+  }
+  EXPECT_EQ(on_result_calls, 0);
 }
 
 // The re-dispatch/respawn backoff schedule must be byte-deterministic for a
