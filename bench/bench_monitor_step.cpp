@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "common/rng.hpp"
 #include "temporal/automaton.hpp"
 #include "temporal/compiled.hpp"
@@ -158,9 +160,11 @@ int main(int argc, char** argv) {
     }
   });
   const double compiled_sps = measure(steps, [&](std::size_t i) {
-    if (compiled.step(stimulus.words[i]) != Verdict::kPending) {
-      compiled.reset();
-    }
+    // The handle holds the monitor's whole state, so without the barrier
+    // the optimizer may drop a loop whose end state nothing reads.
+    const Verdict verdict = compiled.step(stimulus.words[i]);
+    benchmark::DoNotOptimize(verdict);
+    if (verdict != Verdict::kPending) compiled.reset();
   });
 
   const double speedup =

@@ -214,8 +214,11 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
   }
 
   // Probe compile: surfaces program compile errors, unresolvable
-  // propositions, and property parse errors, and fixes the property /
-  // proposition registration order every seed will reproduce.
+  // propositions, and property parse and synthesis errors, and fixes the
+  // property / proposition registration order every seed will reproduce.
+  // In compiled mode the probe's plan is frozen into the spec, so the
+  // properties are parsed, synthesized and compiled once per campaign and
+  // every seed's apply_spec only binds its propositions.
   CompiledProgram probe(config);
   mem::AddressSpace memory(probe.memory_bytes());
   sim::Simulation sim;
@@ -225,6 +228,9 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
     setup.property_names.push_back(record.name);
   }
   setup.proposition_names = checker.registered_proposition_names();
+  if (config.mode == sctc::MonitorMode::kCompiled) {
+    setup.specfile.monitor_plan = checker.freeze_plan();
+  }
 
   // Resolve memory-fault targets once, against the probe compile. Every
   // worker compiles the identical source, so the addresses are valid for

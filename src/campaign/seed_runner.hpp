@@ -8,8 +8,10 @@
 //
 // Split of responsibilities:
 //   prepare_campaign()    validate the whole configuration once (spec parse,
-//                         fault-plan parse + resolve, property probe); throws
-//                         on configuration errors before any seed runs
+//                         fault-plan parse + resolve, property probe) and, in
+//                         compiled mode, freeze the monitor plan every seed
+//                         shares; throws on configuration errors before any
+//                         seed runs
 //   CompiledProgram       one thread's private compile of the program
 //   SeedStack             the one place a seed's stack is wired: memory,
 //                         stimulus, faults, kernel, checker with the spec
@@ -49,7 +51,7 @@ namespace esv::campaign {
 /// Validated, immutable, shareable campaign state. One instance serves every
 /// worker thread of a process; workers never mutate it.
 struct CampaignSetup {
-  spec::SpecFile specfile;
+  spec::SpecFile specfile;  // with the frozen monitor plan in compiled mode
   fault::FaultPlan plan;  // merged --faults + spec fault lines, resolved
   std::vector<std::string> property_names;
   std::vector<std::string> proposition_names;

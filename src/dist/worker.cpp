@@ -45,6 +45,11 @@ struct WorkerState {
   bool closed = false;              // no more ASSIGNs will arrive
   std::atomic<std::uint64_t> busy{0};
   std::atomic<bool> stop_heartbeat{false};
+
+  /// The crash test hook's variables, read once per process (see
+  /// maybe_test_crash). Unset: the hook never fires.
+  std::optional<std::uint64_t> test_crash_seed;
+  std::optional<std::string> test_crash_latch;
 };
 
 void send_payload(WorkerState& state, const std::string& payload) {
@@ -62,13 +67,20 @@ void send_payload(WorkerState& state, const std::string& payload) {
 /// O_CREAT|O_EXCLs the latch file and dies; everyone after sees the file and
 /// runs the seed normally), so crash tests converge no matter which worker
 /// the seed lands on first.
-void maybe_test_crash(const WorkerState& state, std::uint64_t seed) {
-  if (state.generation != 0) return;
-  const char* crash_seed = std::getenv("ESV_WORKER_TEST_CRASH_SEED");
-  if (crash_seed == nullptr || std::strtoull(crash_seed, nullptr, 10) != seed)
-    return;
+void read_test_crash_env(WorkerState& state) {
+  if (const char* seed = std::getenv("ESV_WORKER_TEST_CRASH_SEED")) {
+    state.test_crash_seed = std::strtoull(seed, nullptr, 10);
+  }
   if (const char* latch = std::getenv("ESV_WORKER_TEST_CRASH_LATCH")) {
-    int fd = ::open(latch, O_CREAT | O_EXCL | O_WRONLY, 0644);
+    state.test_crash_latch = latch;
+  }
+}
+
+void maybe_test_crash(const WorkerState& state, std::uint64_t seed) {
+  if (state.generation != 0 || state.test_crash_seed != seed) return;
+  if (state.test_crash_latch) {
+    int fd = ::open(state.test_crash_latch->c_str(),
+                    O_CREAT | O_EXCL | O_WRONLY, 0644);
     if (fd < 0) return;  // someone already crashed on this seed
     ::close(fd);
   }
@@ -299,6 +311,7 @@ int worker_main(int argc, char** argv) {
   state.fd = fd;
   state.id = id;
   state.generation = generation;
+  read_test_crash_env(state);
   // Worker-side chaos counters ride home in the final METRICS frame and
   // surface under the report's operational "dist" block.
   if (chaos_engine != nullptr) chaos_engine->set_metrics(&state.metrics);

@@ -19,6 +19,15 @@ bool compare(std::uint32_t lhs, Compare op, std::uint32_t rhs) {
   return false;
 }
 
+std::size_t count_verdicts(const std::vector<PropertyRecord>& properties,
+                           temporal::Verdict verdict) {
+  std::size_t n = 0;
+  for (const PropertyRecord& r : properties) {
+    if (r.verdict() == verdict) ++n;
+  }
+  return n;
+}
+
 }  // namespace
 
 const char* monitor_mode_name(MonitorMode mode) {
@@ -85,7 +94,10 @@ temporal::Verdict PropertyRecord::verdict() const {
 
 TemporalChecker::TemporalChecker(sim::Simulation& sim, std::string name,
                                  MonitorMode mode)
-    : sim::Module(sim, std::move(name)), mode_(mode) {}
+    : sim::Module(sim, std::move(name)),
+      mode_(mode),
+      own_plan_(std::make_shared<MonitorPlan>()),
+      plan_(own_plan_) {}
 
 TemporalChecker::~TemporalChecker() = default;
 
@@ -94,7 +106,12 @@ void TemporalChecker::register_proposition(
   if (!proposition) {
     throw std::invalid_argument("register_proposition: null proposition");
   }
-  temporal::FormulaRef node = factory_.prop(name);
+  temporal::FormulaRef node = own_plan_ ? own_plan_->factory.prop(name)
+                                        : formulas().find_prop(name);
+  if (node == nullptr) {
+    throw std::logic_error("register_proposition(" + name +
+                           "): not a proposition of the frozen plan");
+  }
   const auto index = static_cast<std::size_t>(node->prop_index());
   if (propositions_by_index_.size() <= index) {
     propositions_by_index_.resize(index + 1);
@@ -111,51 +128,86 @@ void TemporalChecker::register_proposition(const std::string& name,
 }
 
 bool TemporalChecker::has_proposition(const std::string& name) const {
-  for (int i = 0; i < factory_.prop_count(); ++i) {
-    if (factory_.prop_name(i) == name) {
-      const auto idx = static_cast<std::size_t>(i);
-      return idx < propositions_by_index_.size() &&
-             propositions_by_index_[idx] != nullptr;
-    }
+  const temporal::FormulaRef node = formulas().find_prop(name);
+  if (node == nullptr) return false;
+  const auto idx = static_cast<std::size_t>(node->prop_index());
+  return idx < propositions_by_index_.size() &&
+         propositions_by_index_[idx] != nullptr;
+}
+
+temporal::FormulaFactory& TemporalChecker::factory() {
+  if (!own_plan_) {
+    throw std::logic_error("factory: the checker runs a frozen plan");
   }
-  return false;
+  return own_plan_->factory;
 }
 
 std::size_t TemporalChecker::add_property(const std::string& name,
                                           const std::string& text,
                                           temporal::Dialect dialect) {
-  PropertyRecord record;
-  record.name = name;
-  record.text = text;
-  record.dialect = dialect;
-  record.formula = temporal::parse_property(text, dialect, factory_);
+  if (!own_plan_) {
+    throw std::logic_error("add_property(" + name +
+                           "): the checker runs a frozen plan");
+  }
+  temporal::FormulaFactory& factory = own_plan_->factory;
+  PlannedProperty planned;
+  planned.name = name;
+  planned.text = text;
+  planned.dialect = dialect;
+  planned.formula = temporal::parse_property(text, dialect, factory);
 
   // Every proposition must be backed by a registered evaluator.
-  for (int prop_index : factory_.collect_prop_indices(record.formula)) {
+  for (int prop_index : factory.collect_prop_indices(planned.formula)) {
     const auto idx = static_cast<std::size_t>(prop_index);
     if (idx >= propositions_by_index_.size() ||
         propositions_by_index_[idx] == nullptr) {
       throw std::runtime_error("add_property(" + name +
                                "): proposition \"" +
-                               factory_.prop_name(prop_index) +
+                               factory.prop_name(prop_index) +
                                "\" is not registered");
     }
   }
 
-  if (mode_ == MonitorMode::kProgression || mode_ == MonitorMode::kBoth) {
-    record.progression = std::make_unique<temporal::ProgressionMonitor>(
-        factory_, record.formula);
-  }
   if (mode_ == MonitorMode::kCompiled || mode_ == MonitorMode::kBoth) {
-    // Synthesize, lower into the pool's flat arenas, and drop the source
+    // Synthesize, lower into the plan's flat tables, and drop the source
     // automaton: the compiled tables are self-contained.
     const temporal::ArAutomaton automaton =
-        temporal::synthesize(factory_, record.formula);
-    record.automaton_states = automaton.state_count();
-    record.compiled = compiled_pool_.compile(automaton, factory_);
+        temporal::synthesize(factory, planned.formula);
+    planned.automaton_states = automaton.state_count();
+    planned.compiled = own_plan_->tables.compile(automaton, factory);
   }
+  PropertyRecord record;
+  static_cast<PlannedProperty&>(record) = planned;
+  if (mode_ == MonitorMode::kProgression || mode_ == MonitorMode::kBoth) {
+    record.progression = std::make_unique<temporal::ProgressionMonitor>(
+        factory, record.formula);
+  }
+  own_plan_->properties.push_back(std::move(planned));
+  if (record.verdict() == temporal::Verdict::kPending) ++pending_;
   properties_.push_back(std::move(record));
   return properties_.size() - 1;
+}
+
+std::shared_ptr<const MonitorPlan> TemporalChecker::freeze_plan() {
+  if (mode_ != MonitorMode::kCompiled) {
+    throw std::logic_error("freeze_plan: only a compiled-mode plan is frozen");
+  }
+  own_plan_.reset();
+  return plan_;
+}
+
+void TemporalChecker::use_plan(std::shared_ptr<const MonitorPlan> plan) {
+  if (mode_ != MonitorMode::kCompiled || !own_plan_ ||
+      !propositions_by_index_.empty() || !properties_.empty()) {
+    throw std::logic_error("use_plan: needs a fresh compiled-mode checker");
+  }
+  own_plan_.reset();
+  plan_ = std::move(plan);
+  properties_.resize(plan_->properties.size());
+  for (std::size_t i = 0; i < properties_.size(); ++i) {
+    static_cast<PlannedProperty&>(properties_[i]) = plan_->properties[i];
+  }
+  recount_pending();
 }
 
 void TemporalChecker::bind_trigger(sim::Event& trigger) {
@@ -198,7 +250,7 @@ void TemporalChecker::evaluate_propositions() {
       if (observe && (steps_ == 1 || value != value_cache_[i])) {
         if (m_prop_changes_ != nullptr) m_prop_changes_->add();
         if (trace_ != nullptr) {
-          trace_->prop_change(steps_, factory_.prop_name(static_cast<int>(i)),
+          trace_->prop_change(steps_, formulas().prop_name(static_cast<int>(i)),
                               value != 0);
         }
       }
@@ -248,13 +300,13 @@ std::string TemporalChecker::witness_table() const {
   out << "step:";
   for (const WitnessStep& w : witness_) out << " " << w.step;
   out << "\n";
-  for (int i = 0; i < factory_.prop_count(); ++i) {
+  for (int i = 0; i < formulas().prop_count(); ++i) {
     const auto idx = static_cast<std::size_t>(i);
     if (idx >= propositions_by_index_.size() ||
         propositions_by_index_[idx] == nullptr) {
       continue;
     }
-    out << "  " << factory_.prop_name(i) << ":";
+    out << "  " << formulas().prop_name(i) << ":";
     for (const WitnessStep& w : witness_) {
       out << " " << (idx < w.values.size() && w.values[idx] ? "1" : ".");
     }
@@ -316,6 +368,7 @@ void TemporalChecker::step_all() {
       }
     }
     if (v != temporal::Verdict::kPending) {
+      --pending_;
       record.decided_at_step = steps_;
       record.decided_at_time = sim_.now();
       if (v == temporal::Verdict::kViolated) violated_now = true;
@@ -341,11 +394,11 @@ std::uint64_t TemporalChecker::proposition_true_count(int prop_index) const {
 
 std::vector<std::string> TemporalChecker::registered_proposition_names() const {
   std::vector<std::string> names;
-  for (int i = 0; i < factory_.prop_count(); ++i) {
+  for (int i = 0; i < formulas().prop_count(); ++i) {
     const auto idx = static_cast<std::size_t>(i);
     if (idx < propositions_by_index_.size() &&
         propositions_by_index_[idx] != nullptr) {
-      names.push_back(factory_.prop_name(i));
+      names.push_back(formulas().prop_name(i));
     }
   }
   return names;
@@ -375,6 +428,11 @@ void TemporalChecker::reset_monitors() {
     record.decided_at_time = sim::Time::zero();
     record.traced_state = UINT32_MAX;
   }
+  recount_pending();
+}
+
+void TemporalChecker::recount_pending() {
+  pending_ = count_verdicts(properties_, temporal::Verdict::kPending);
 }
 
 void TemporalChecker::corrupt_compiled_for_test(std::size_t property_index,
@@ -385,30 +443,15 @@ void TemporalChecker::corrupt_compiled_for_test(std::size_t property_index,
         "corrupt_compiled_for_test: property has no compiled monitor");
   }
   record.compiled.corrupt_state_for_test(state);
-}
-
-std::size_t TemporalChecker::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& r : properties_) {
-    if (r.verdict() == temporal::Verdict::kPending) ++n;
-  }
-  return n;
+  recount_pending();
 }
 
 std::size_t TemporalChecker::validated_count() const {
-  std::size_t n = 0;
-  for (const auto& r : properties_) {
-    if (r.verdict() == temporal::Verdict::kValidated) ++n;
-  }
-  return n;
+  return count_verdicts(properties_, temporal::Verdict::kValidated);
 }
 
 std::size_t TemporalChecker::violated_count() const {
-  std::size_t n = 0;
-  for (const auto& r : properties_) {
-    if (r.verdict() == temporal::Verdict::kViolated) ++n;
-  }
-  return n;
+  return count_verdicts(properties_, temporal::Verdict::kViolated);
 }
 
 std::string TemporalChecker::report() const {

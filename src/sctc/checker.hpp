@@ -23,6 +23,14 @@
 //                   recorded as a first-class monitor error
 //                   (docs/MONITORS.md). The verdicts reported are the
 //                   interpreted oracle's.
+//
+// What a checker's properties need before the first step — the factory the
+// formulas are interned in, the compiled tables, and the per-property entries
+// — is its MonitorPlan. add_property grows a private plan. A kCompiled
+// checker can instead run a frozen plan shared with other checkers
+// (use_plan): compiled stepping never writes the plan, so one plan serves
+// every seed and thread of a campaign, and each checker holds only its own
+// proposition evaluators and per-monitor state.
 #pragma once
 
 #include <cstdint>
@@ -90,18 +98,36 @@ FaultClass classify_under_fault(temporal::Verdict verdict, bool run_errored);
 /// Stable lower-case name ("held", "violated", "monitor-error", "n/a").
 const char* fault_class_name(FaultClass fault_class);
 
-/// Per-property state and result.
-struct PropertyRecord {
+/// What a property needs before its first step. Immutable once the plan
+/// holding it is frozen.
+struct PlannedProperty {
   std::string name;
   std::string text;
   temporal::Dialect dialect = temporal::Dialect::kFltl;
   temporal::FormulaRef formula = nullptr;
+  /// Compiled monitor in its initial state (kCompiled / kBoth only); every
+  /// checker steps its own copy.
+  temporal::CompiledMonitor compiled;
+  /// AR-automaton size (kCompiled / kBoth only).
+  std::size_t automaton_states = 0;
+};
 
+/// The parsed properties of a checker in their factory (proposition index i
+/// is the i-th registered proposition), their compiled tables, and one entry
+/// per property in registration order. Not copyable or movable: compiled
+/// handles and formulas point into it.
+struct MonitorPlan {
+  temporal::FormulaFactory factory;
+  temporal::CompiledMonitorPool tables;
+  std::vector<PlannedProperty> properties;
+};
+
+/// Per-property state and result.
+struct PropertyRecord : PlannedProperty {
   // Active monitors depend on the checker's mode: progression alone
   // (kProgression), compiled alone (kCompiled), or progression + compiled
   // in lockstep (kBoth).
   std::unique_ptr<temporal::ProgressionMonitor> progression;
-  temporal::CompiledMonitor compiled;
   /// kBoth only: the compiled fast path disagreed with the interpreted
   /// oracle at some step. The reported verdict stays the oracle's; the
   /// divergence itself is surfaced through TemporalChecker::divergences().
@@ -111,8 +137,6 @@ struct PropertyRecord {
   std::uint64_t decided_at_step = 0;
   /// Simulation time when the verdict became final.
   sim::Time decided_at_time;
-  /// AR-automaton size (kCompiled / kBoth only).
-  std::size_t automaton_states = 0;
   /// Last AR-automaton state id written to the trace (tracing only).
   std::uint32_t traced_state = UINT32_MAX;
 
@@ -128,7 +152,9 @@ class TemporalChecker : public sim::Module {
   MonitorMode mode() const { return mode_; }
 
   /// Registers a named proposition. Properties refer to propositions by
-  /// these names. Re-registering a name replaces the proposition.
+  /// these names. Re-registering a name replaces the proposition. On a
+  /// checker running a frozen plan, `name` must be one of the plan's
+  /// propositions (throws std::logic_error otherwise).
   void register_proposition(const std::string& name,
                             std::unique_ptr<Proposition> proposition);
   /// Convenience: registers a LambdaProposition.
@@ -136,11 +162,24 @@ class TemporalChecker : public sim::Module {
                             std::function<bool()> predicate);
   bool has_proposition(const std::string& name) const;
 
-  /// Parses and instantiates a property monitor. Every proposition the
-  /// property mentions must already be registered (throws std::runtime_error
-  /// otherwise). Returns the property index.
+  /// Parses and instantiates a property monitor into the checker's private
+  /// plan. Every proposition the property mentions must already be
+  /// registered (throws std::runtime_error otherwise). Throws
+  /// std::logic_error once the plan is frozen. Returns the property index.
   std::size_t add_property(const std::string& name, const std::string& text,
                            temporal::Dialect dialect = temporal::Dialect::kFltl);
+
+  /// Freezes this kCompiled checker's plan and returns it for sharing. The
+  /// checker keeps its monitors but takes no further properties, and no
+  /// proposition the plan lacks. Throws std::logic_error in other modes:
+  /// progression interns new formulas while it steps.
+  std::shared_ptr<const MonitorPlan> freeze_plan();
+  /// Runs `plan` (from freeze_plan) in place of a private plan, each
+  /// property on its own copy of the plan's initial compiled monitor. Only
+  /// for a kCompiled checker with no propositions or properties yet
+  /// (std::logic_error otherwise). Register the plan's propositions
+  /// afterwards.
+  void use_plan(std::shared_ptr<const MonitorPlan> plan);
 
   /// Binds the checker to a trigger event: a method process steps all
   /// monitors every time the event fires.
@@ -186,11 +225,13 @@ class TemporalChecker : public sim::Module {
   // --- results ---
   const std::vector<PropertyRecord>& properties() const { return properties_; }
   std::uint64_t steps() const { return steps_; }
-  std::size_t pending_count() const;
+  /// Properties still pending: a counter step_all() keeps, so the
+  /// supervisor's per-step all_decided() does not scan the properties.
+  std::size_t pending_count() const { return pending_; }
   std::size_t validated_count() const;
   std::size_t violated_count() const;
   bool any_violated() const { return violated_count() > 0; }
-  bool all_decided() const { return pending_count() == 0; }
+  bool all_decided() const { return pending_ == 0; }
 
   /// Multi-line result table.
   std::string report() const;
@@ -208,8 +249,10 @@ class TemporalChecker : public sim::Module {
   /// with registered_proposition_names().
   std::vector<std::uint64_t> registered_proposition_true_counts() const;
 
-  /// The formula factory (exposed for tests and tooling, e.g. IL dumps).
-  temporal::FormulaFactory& factory() { return factory_; }
+  /// The factory of the checker's private plan (exposed for tests and
+  /// tooling, e.g. IL dumps). Throws std::logic_error once the plan is
+  /// frozen or shared.
+  temporal::FormulaFactory& factory();
 
   // --- witness traces ---
   /// Keeps a ring buffer of the last `depth` proposition valuations (0
@@ -230,10 +273,14 @@ class TemporalChecker : public sim::Module {
   temporal::PropValuation make_valuation();
   void evaluate_propositions();
   void record_witness();
+  const temporal::FormulaFactory& formulas() const { return plan_->factory; }
+  void recount_pending();
 
   MonitorMode mode_;
-  temporal::FormulaFactory factory_;
-  temporal::CompiledMonitorPool compiled_pool_;  // kCompiled / kBoth arenas
+  // The plan stepping and naming read: own_plan_ while the checker grows a
+  // private one, else a frozen (possibly shared) plan, and own_plan_ null.
+  std::shared_ptr<MonitorPlan> own_plan_;
+  std::shared_ptr<const MonitorPlan> plan_;
   std::vector<std::unique_ptr<Proposition>> propositions_by_index_;
   std::vector<PropertyRecord> properties_;
   std::vector<char> value_cache_;  // per-step proposition values
@@ -241,6 +288,7 @@ class TemporalChecker : public sim::Module {
   std::vector<std::uint64_t> true_counts_;  // per-proposition steps-true
   std::vector<std::string> divergences_;    // kBoth oracle mismatches
   std::uint64_t steps_ = 0;
+  std::size_t pending_ = 0;  // properties whose verdict() is kPending
   bool stop_on_violation_ = false;
   std::size_t witness_depth_ = 0;
   std::vector<WitnessStep> witness_;

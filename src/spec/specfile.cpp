@@ -166,6 +166,12 @@ SpecFile parse_spec(std::string_view text) {
 void apply_spec(const SpecFile& spec, const minic::Program& program,
                 const sctc::MemoryReadInterface& memory,
                 sctc::TemporalChecker& checker) {
+  // Progression and `both` checkers keep parsing per checker: progression
+  // interns into the factory while it steps, and `both` compares obligation
+  // pointers within one factory.
+  const bool planned = spec.monitor_plan != nullptr &&
+                       checker.mode() == sctc::MonitorMode::kCompiled;
+  if (planned) checker.use_plan(spec.monitor_plan);
   for (const PropositionSpec& prop : spec.propositions) {
     // Resolve the watched global (fname resolves via its injected slot).
     const minic::GlobalVar* global = program.find_global(prop.global);
@@ -204,6 +210,7 @@ void apply_spec(const SpecFile& spec, const minic::Program& program,
                        memory, global->address, prop.op,
                        static_cast<std::uint32_t>(value)));
   }
+  if (planned) return;
   for (const PropertySpec& property : spec.properties) {
     try {
       checker.add_property(property.name, property.text, property.dialect);

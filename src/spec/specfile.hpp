@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -78,6 +79,11 @@ struct SpecFile {
   std::vector<PropertySpec> properties;
   std::vector<InputSpec> inputs;
   std::vector<FaultLineSpec> fault_lines;
+  /// The compiled-mode monitor plan of `propositions` and `properties`,
+  /// frozen once per campaign by campaign::prepare_campaign; null from
+  /// parse_spec. Shared, never written: every seed and thread of the
+  /// campaign runs it.
+  std::shared_ptr<const sctc::MonitorPlan> monitor_plan;
 };
 
 /// Parses the text of a spec file. Throws SpecError on malformed input.
@@ -85,7 +91,10 @@ SpecFile parse_spec(std::string_view text);
 
 /// Resolves every proposition against `program` (addresses, enum constants,
 /// fname ids) and registers propositions + properties on `checker`, reading
-/// values through `memory`. Throws SpecError on unresolvable names.
+/// values through `memory`. A kCompiled checker runs spec.monitor_plan when
+/// there is one, so only the propositions are bound here; otherwise each
+/// property is parsed (and, in kCompiled / kBoth, synthesized) into the
+/// checker's private plan. Throws SpecError on unresolvable names.
 void apply_spec(const SpecFile& spec, const minic::Program& program,
                 const sctc::MemoryReadInterface& memory,
                 sctc::TemporalChecker& checker);

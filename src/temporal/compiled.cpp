@@ -32,8 +32,6 @@ CompiledMonitor CompiledMonitorPool::compile(const ArAutomaton& automaton,
   entry.bits_off = static_cast<std::uint32_t>(bit_sources_.size());
   entry.bit_count = static_cast<std::uint32_t>(props.size());
   entry.initial = automaton.initial();
-  entry.state = automaton.initial();
-  entry.state_count = static_cast<std::uint32_t>(state_count);
 
   for (int prop_index : props) {
     bit_sources_.push_back(static_cast<std::uint8_t>(prop_index));
@@ -64,13 +62,8 @@ CompiledMonitor CompiledMonitorPool::compile(const ArAutomaton& automaton,
   }
 
   entries_.push_back(entry);
-  return CompiledMonitor(this,
-                         static_cast<std::uint32_t>(entries_.size() - 1));
-}
-
-void CompiledMonitorPool::corrupt_state_for_test(std::uint32_t id,
-                                                 std::uint32_t state) {
-  entries_.at(id).state = state;
+  return CompiledMonitor(
+      this, static_cast<std::uint32_t>(entries_.size() - 1), entry.initial);
 }
 
 }  // namespace esv::temporal

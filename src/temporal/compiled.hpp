@@ -12,10 +12,16 @@
 //     word into a *word class* — the local assignment index over just the
 //     propositions the property mentions — and takes one dense table lookup:
 //     next = table[state << bit_count | class].
-//   - All monitors of a run live in one CompiledMonitorPool: transition
-//     rows, per-state verdicts, end-of-trace verdicts, and gather specs are
-//     arena-allocated in flat contiguous arrays. Stepping performs zero heap
-//     allocations in steady state (asserted under a counting allocator in
+//   - The tables live in a CompiledMonitorPool: transition rows, per-state
+//     verdicts, end-of-trace verdicts, and gather specs, arena-allocated in
+//     flat contiguous arrays. compile() appends to them; stepping only reads
+//     them, so a pool nobody compiles into any more can serve any number of
+//     monitors on any threads.
+//   - A monitor's run state (current state, step count) lives in its
+//     CompiledMonitor handle. A copy of a handle is an independent monitor
+//     over the same tables: checkers that share a frozen plan each copy its
+//     handles. Stepping performs zero heap allocations in steady state
+//     (asserted under a counting allocator in
 //     tests/monitor_compile_test.cpp).
 //
 // State numbering is preserved exactly from the source ArAutomaton, so a
@@ -50,9 +56,10 @@ class CompileError : public std::runtime_error {
 
 class CompiledMonitorPool;
 
-/// Lightweight handle to one compiled monitor inside a pool. Copyable; all
-/// state (including the current automaton state) lives in the pool's flat
-/// arrays, so copies alias the same monitor.
+/// One compiled monitor: a read-only view of its tables in a pool, plus its
+/// own run state (current automaton state and step count). Copyable; a copy
+/// is an independent monitor over the same tables, starting from the
+/// state the original had. The pool must outlive every handle into it.
 class CompiledMonitor {
  public:
   CompiledMonitor() = default;
@@ -68,49 +75,48 @@ class CompiledMonitor {
   inline Verdict verdict_at_end() const;
   /// Current automaton state id (identical numbering to the source
   /// ArAutomaton).
-  inline std::uint32_t state() const;
+  std::uint32_t state() const { return state_; }
   /// The pending obligation formula of the current state — the compiled
   /// counterpart of ProgressionMonitor::current(), used by the differential
   /// oracle for transition-level lockstep comparison.
   inline FormulaRef obligation() const;
-  inline std::uint64_t steps() const;
+  std::uint64_t steps() const { return steps_; }
   inline void reset();
-  /// Test hook: forces the monitor into an arbitrary state (see
-  /// CompiledMonitorPool::corrupt_state_for_test).
-  inline void corrupt_state_for_test(std::uint32_t state);
+  /// Test hook: forces this monitor into an arbitrary state so the `both`
+  /// mode's divergence reporting can be exercised (a correct build never
+  /// diverges on its own). Other handles over the same tables are unaffected.
+  void corrupt_state_for_test(std::uint32_t state) { state_ = state; }
 
  private:
   friend class CompiledMonitorPool;
-  CompiledMonitor(CompiledMonitorPool* pool, std::uint32_t id)
-      : pool_(pool), id_(id) {}
+  CompiledMonitor(const CompiledMonitorPool* pool, std::uint32_t id,
+                  std::uint32_t initial)
+      : pool_(pool), id_(id), state_(initial) {}
 
-  CompiledMonitorPool* pool_ = nullptr;
+  const CompiledMonitorPool* pool_ = nullptr;
   std::uint32_t id_ = 0;
+  std::uint32_t state_ = 0;
+  std::uint64_t steps_ = 0;
 };
 
-/// Arena for a run's compiled monitors. compile() may grow the arenas (and
-/// is therefore not for the hot path); step() touches only preallocated
-/// flat storage.
+/// The tables of a set of compiled monitors. compile() grows the arenas (and
+/// is therefore not for the hot path); stepping only reads them.
 class CompiledMonitorPool {
  public:
   CompiledMonitorPool() = default;
   CompiledMonitorPool(const CompiledMonitorPool&) = delete;
   CompiledMonitorPool& operator=(const CompiledMonitorPool&) = delete;
 
-  /// Lowers a synthesized automaton into the pool. `factory` resolves the
-  /// end-of-trace verdict of every state's obligation. Throws CompileError
-  /// if the automaton reads a proposition index >= kMaxPropWordBits.
+  /// Lowers a synthesized automaton into the pool and returns a monitor in
+  /// its initial state. `factory` resolves the end-of-trace verdict of every
+  /// state's obligation. Throws CompileError if the automaton reads a
+  /// proposition index >= kMaxPropWordBits.
   CompiledMonitor compile(const ArAutomaton& automaton,
                           const FormulaFactory& factory);
 
   std::size_t monitor_count() const { return entries_.size(); }
   /// Total dense transition-table entries across all monitors (diagnostics).
   std::size_t table_entries() const { return table_.size(); }
-
-  /// Test hook: forces the monitor into an arbitrary state so the `both`
-  /// mode's divergence reporting can be exercised (a correct build never
-  /// diverges on its own).
-  void corrupt_state_for_test(std::uint32_t id, std::uint32_t state);
 
  private:
   friend class CompiledMonitor;
@@ -121,9 +127,6 @@ class CompiledMonitorPool {
     std::uint32_t bits_off = 0;    // into bit_sources_
     std::uint32_t bit_count = 0;   // propositions gathered from the word
     std::uint32_t initial = 0;
-    std::uint32_t state = 0;
-    std::uint32_t state_count = 0;
-    std::uint64_t steps = 0;
   };
 
   // Flat arenas shared by every monitor in the pool. table_ holds each
@@ -138,53 +141,39 @@ class CompiledMonitorPool {
 };
 
 inline Verdict CompiledMonitor::step(PropWord word) {
-  CompiledMonitorPool::Entry& e = pool_->entries_[id_];
+  const CompiledMonitorPool::Entry& e = pool_->entries_[id_];
   const std::uint8_t* verdicts = pool_->verdicts_.data() + e.state_base;
-  if (static_cast<Verdict>(verdicts[e.state]) != Verdict::kPending) {
-    return static_cast<Verdict>(verdicts[e.state]);
+  if (static_cast<Verdict>(verdicts[state_]) != Verdict::kPending) {
+    return static_cast<Verdict>(verdicts[state_]);
   }
-  ++e.steps;
+  ++steps_;
   const std::uint8_t* bits = pool_->bit_sources_.data() + e.bits_off;
   std::uint32_t word_class = 0;
   for (std::uint32_t i = 0; i < e.bit_count; ++i) {
     word_class |= static_cast<std::uint32_t>(word >> bits[i] & 1u) << i;
   }
-  e.state =
-      pool_->table_[e.table_off + (e.state << e.bit_count) + word_class];
-  return static_cast<Verdict>(verdicts[e.state]);
+  state_ = pool_->table_[e.table_off + (state_ << e.bit_count) + word_class];
+  return static_cast<Verdict>(verdicts[state_]);
 }
 
 inline Verdict CompiledMonitor::verdict() const {
   const CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  return static_cast<Verdict>(pool_->verdicts_[e.state_base + e.state]);
+  return static_cast<Verdict>(pool_->verdicts_[e.state_base + state_]);
 }
 
 inline Verdict CompiledMonitor::verdict_at_end() const {
   const CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  return static_cast<Verdict>(pool_->end_verdicts_[e.state_base + e.state]);
-}
-
-inline std::uint32_t CompiledMonitor::state() const {
-  return pool_->entries_[id_].state;
+  return static_cast<Verdict>(pool_->end_verdicts_[e.state_base + state_]);
 }
 
 inline FormulaRef CompiledMonitor::obligation() const {
   const CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  return pool_->obligations_[e.state_base + e.state];
-}
-
-inline std::uint64_t CompiledMonitor::steps() const {
-  return pool_->entries_[id_].steps;
+  return pool_->obligations_[e.state_base + state_];
 }
 
 inline void CompiledMonitor::reset() {
-  CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  e.state = e.initial;
-  e.steps = 0;
-}
-
-inline void CompiledMonitor::corrupt_state_for_test(std::uint32_t state) {
-  pool_->corrupt_state_for_test(id_, state);
+  state_ = pool_->entries_[id_].initial;
+  steps_ = 0;
 }
 
 }  // namespace esv::temporal

@@ -67,10 +67,14 @@ FormulaRef FormulaFactory::intern(Formula node) {
   return ref;
 }
 
+FormulaRef FormulaFactory::find_prop(const std::string& name) const {
+  const auto it = props_.find(name);
+  return it == props_.end() ? nullptr : it->second;
+}
+
 FormulaRef FormulaFactory::prop(const std::string& name) {
   if (name.empty()) throw std::invalid_argument("prop: empty name");
-  auto it = props_.find(name);
-  if (it != props_.end()) return it->second;
+  if (FormulaRef existing = find_prop(name)) return existing;
   Formula node;
   node.op_ = Op::kProp;
   node.prop_name_ = name;

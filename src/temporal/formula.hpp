@@ -91,6 +91,8 @@ class FormulaFactory {
   /// Returns the (unique) proposition node for `name`, creating it and
   /// assigning the next proposition index on first use.
   FormulaRef prop(const std::string& name);
+  /// The proposition node for `name`, or nullptr if it was never interned.
+  FormulaRef find_prop(const std::string& name) const;
 
   FormulaRef not_(FormulaRef f);
   FormulaRef and_(std::vector<FormulaRef> fs);

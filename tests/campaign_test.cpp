@@ -438,6 +438,34 @@ TEST(CampaignTest, ConfigurationErrorsThrowBeforeWorkersStart) {
   config = blinker_config(1, 2, 1);
   config.program_source = "void main(void) { undeclared = 1; }";
   EXPECT_THROW(run(config), std::exception);
+
+  // Synthesis runs once, in prepare_campaign: a compiled-mode property over
+  // 17 propositions exceeds the synthesis limit there, and the
+  // SynthesisLimitError reaches the caller wrapped in the spec line's
+  // SpecError before any worker starts.
+  config = blinker_config(1, 4, 2);
+  config.mode = sctc::MonitorMode::kCompiled;
+  std::atomic<int> results{0};
+  config.on_result = [&results](const SeedResult&) { ++results; };
+  std::string wide_spec;
+  std::string disjunction;
+  for (int i = 0; i < 17; ++i) {
+    const std::string name = "c" + std::to_string(i);
+    wide_spec += "prop " + name + " = cycles == " + std::to_string(i) + "\n";
+    disjunction += (i == 0 ? "" : " || ") + name;
+  }
+  config.spec_text = wide_spec + "check wide: G (" + disjunction + ")\n";
+  try {
+    run(config);
+    ADD_FAILURE() << "a 17-proposition compiled property ran";
+  } catch (const spec::SpecError& e) {
+    EXPECT_EQ(e.line(), 18);
+    EXPECT_NE(std::string(e.what()).find(
+                  "synthesize: property has 17 propositions; limit is 16"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(results.load(), 0);
 }
 
 TEST(CampaignTest, JobsLargerThanSeedRangeIsClamped) {

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -426,7 +427,8 @@ TEST(JournalTest, InProcessResumeReproducesTheUninterruptedReport) {
 
   campaign::CampaignConfig resumed = config;
   resumed.resume_results = recovered.results;
-  std::uint64_t journaled_on_resume = 0;
+  // on_result runs on the worker thread that computed the seed.
+  std::atomic<std::uint64_t> journaled_on_resume{0};
   resumed.on_result = [&](const campaign::SeedResult&) {
     ++journaled_on_resume;
   };
@@ -434,7 +436,7 @@ TEST(JournalTest, InProcessResumeReproducesTheUninterruptedReport) {
 
   // Only the 6 missing seeds were recomputed (and re-journaled), and every
   // deterministic rendering is byte-identical to the uninterrupted run.
-  EXPECT_EQ(journaled_on_resume, 6u);
+  EXPECT_EQ(journaled_on_resume.load(), 6u);
   EXPECT_EQ(report.verdict_table(), reference.verdict_table());
   EXPECT_EQ(report.summary(), reference.summary());
   EXPECT_EQ(report.to_json(/*include_timing=*/false),

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
 #include <string>
@@ -185,6 +186,27 @@ TEST(CompiledTableTest, PoolKeepsMonitorsIndependent) {
   }
   EXPECT_EQ(second.step(/*b=*/0b10), Verdict::kValidated);
   EXPECT_EQ(first.step(0b01), Verdict::kPending);
+}
+
+TEST(CompiledTableTest, HandleCopiesAreIndependentMonitors) {
+  FormulaFactory factory;
+  CompiledMonitorPool pool;
+  const CompiledMonitor initial =
+      pool.compile(synthesize(factory, parse_fltl("F[2] go", factory)), factory);
+
+  // Copies share the tables, never the run state.
+  CompiledMonitor a = initial;
+  CompiledMonitor b = initial;
+  EXPECT_EQ(a.step(0), Verdict::kPending);
+  EXPECT_EQ(a.step(0), Verdict::kPending);
+  EXPECT_EQ(a.step(0), Verdict::kViolated);
+  EXPECT_EQ(b.step(1), Verdict::kValidated);
+  EXPECT_EQ(a.steps(), 3u);
+  EXPECT_EQ(b.steps(), 1u);
+  EXPECT_EQ(initial.verdict(), Verdict::kPending);
+  EXPECT_EQ(initial.steps(), 0u);
+  a.corrupt_state_for_test(initial.state());
+  EXPECT_EQ(b.verdict(), Verdict::kValidated);
 }
 
 TEST(CompiledTableTest, PropositionIndexBeyondTheWordIsRejected) {
@@ -388,6 +410,85 @@ TEST(CheckerBothModeTest, CorruptHookRequiresACompiledMonitor) {
   checker.register_proposition("a", [] { return true; });
   checker.add_property("inv", "G a");
   EXPECT_THROW(checker.corrupt_compiled_for_test(0, 1), std::logic_error);
+}
+
+// --- frozen, shared plans ----------------------------------------------------
+
+/// A kCompiled checker over p and q whose plan is then frozen for sharing.
+std::shared_ptr<const MonitorPlan> frozen_plan() {
+  sim::Simulation sim;
+  TemporalChecker builder(sim, "builder", MonitorMode::kCompiled);
+  builder.register_proposition("p", [] { return false; });
+  builder.register_proposition("q", [] { return false; });
+  builder.add_property("respond", "G (p -> F[3] q)");
+  builder.add_property("never_both", "G !(p && q)");
+  return builder.freeze_plan();
+}
+
+TEST(SharedPlanTest, CheckersSharingAPlanKeepTheirOwnState) {
+  const std::shared_ptr<const MonitorPlan> plan = frozen_plan();
+  sim::Simulation sim;
+  TemporalChecker first(sim, "first", MonitorMode::kCompiled);
+  TemporalChecker second(sim, "second", MonitorMode::kCompiled);
+  int tick = 0;
+  first.use_plan(plan);
+  second.use_plan(plan);
+  // The first checker sees p once and never q; the second sees p and q
+  // together on its third step.
+  first.register_proposition("p", [&tick] { return tick == 0; });
+  first.register_proposition("q", [] { return false; });
+  second.register_proposition("p", [&tick] { return tick == 2; });
+  second.register_proposition("q", [&tick] { return tick == 2; });
+  for (; tick < 3; ++tick) {
+    first.step_all();
+    second.step_all();
+  }
+  ASSERT_EQ(second.properties()[1].verdict(), Verdict::kViolated);
+  ASSERT_EQ(first.properties()[1].verdict(), Verdict::kPending);
+  const std::uint32_t state = first.properties()[0].compiled.state();
+  const std::uint64_t steps = first.properties()[0].compiled.steps();
+  ASSERT_NE(state, second.properties()[0].compiled.state());
+
+  // Corrupting the second checker's monitor leaves the first, and the
+  // plan's own initial monitors, untouched.
+  second.corrupt_compiled_for_test(
+      0, (second.properties()[0].compiled.state() + 1) %
+             second.properties()[0].automaton_states);
+  second.step_all();
+  EXPECT_EQ(first.properties()[0].compiled.state(), state);
+  EXPECT_EQ(first.properties()[0].compiled.steps(), steps);
+  EXPECT_EQ(first.properties()[0].verdict(), Verdict::kPending);
+  EXPECT_EQ(first.pending_count(), 2u);
+  for (const PlannedProperty& planned : plan->properties) {
+    EXPECT_EQ(planned.compiled.steps(), 0u);
+    EXPECT_EQ(planned.compiled.verdict(), Verdict::kPending);
+  }
+
+  // The first checker runs on to its own verdict: q does not answer the
+  // step-1 p within steps 1..4.
+  first.step_all();
+  EXPECT_EQ(first.properties()[0].verdict(), Verdict::kViolated);
+  EXPECT_EQ(first.properties()[0].decided_at_step, 4u);
+  EXPECT_EQ(first.pending_count(), 1u);
+  EXPECT_EQ(first.registered_proposition_names(),
+            (std::vector<std::string>{"p", "q"}));
+}
+
+TEST(SharedPlanTest, AFrozenPlanTakesNothingNew) {
+  sim::Simulation sim;
+  TemporalChecker progression(sim, "sctc", MonitorMode::kProgression);
+  EXPECT_THROW(progression.freeze_plan(), std::logic_error);
+  TemporalChecker both(sim, "sctc", MonitorMode::kBoth);
+  EXPECT_THROW(both.use_plan(frozen_plan()), std::logic_error);
+
+  TemporalChecker compiled(sim, "sctc", MonitorMode::kCompiled);
+  compiled.use_plan(frozen_plan());
+  EXPECT_THROW(compiled.register_proposition("r", [] { return true; }),
+               std::logic_error);
+  compiled.register_proposition("p", [] { return true; });
+  EXPECT_THROW(compiled.add_property("more", "G p"), std::logic_error);
+  EXPECT_THROW(compiled.factory(), std::logic_error);
+  EXPECT_THROW(compiled.use_plan(frozen_plan()), std::logic_error);
 }
 
 // --- zero-allocation steady state -------------------------------------------
