@@ -20,10 +20,11 @@
 //                        [--json=FILE]
 //
 //   --seeds=N           campaign seeds per measured run (default 8)
-//   --reps=R            interleaved repetitions per variant (default 3)
-//   --gate-overhead=P   exit 1 if the installed-engine campaign is more
-//                       than P percent slower (the recorded bar is 1;
-//                       BENCH_chaos.json)
+//   --reps=R            interleaved pairs of runs, one per variant each
+//                       (default 3)
+//   --gate-overhead=P   exit 1 if the median per-pair time ratio says the
+//                       installed-engine campaign is more than P percent
+//                       slower (the recorded bar is 1; BENCH_chaos.json)
 //   --json=FILE         also write the result object to FILE
 //
 // The gate makes the binary usable as an opt-in CTest perf check:
@@ -36,6 +37,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "chaos/chaos.hpp"
@@ -117,6 +119,13 @@ double probe_ns(std::uint64_t iters, std::uint64_t& sink) {
   return seconds * 1e9 / static_cast<double>(iters);
 }
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 != 0 ? values[mid]
+                                 : (values[mid - 1] + values[mid]) / 2.0;
+}
+
 bool parse_u64(const std::string& text, std::uint64_t& out) {
   if (text.empty()) return false;
   const auto result =
@@ -182,36 +191,40 @@ int main(int argc, char** argv) {
   chaos::ChaosEngine::install(nullptr);
 
   // --- macro: a real campaign, engine off vs armed-but-idle -------------
-  // Interleaved reps with alternating order (a fixed order hands whichever
-  // variant runs first the residual turbo headroom, which shows up as a
-  // phantom 2-3% "overhead"), best-of per variant: the minimum is the run
-  // least disturbed by scheduler noise, which is the honest estimate for a
-  // workload whose two variants execute identical instructions.
+  // The variants run interleaved, one pair per rep, with the order
+  // alternating (a fixed order hands whichever variant runs first the
+  // residual turbo headroom). Both runs of a pair see nearly the same host
+  // load, so their time ratio cancels most of a shared host's drift, and
+  // the gate reads the median ratio over many short pairs. A best-of-N
+  // time per variant cancels none of it: two identical variants read -10%
+  // to +16% apart, and even 40 pairs of 16-seed runs read -3% to +2%.
   campaign_seconds(seeds);  // warm-up: page caches, allocator, factories
-  double off_seconds = 1e300;
-  double armed_seconds = 1e300;
-  const auto measure_off = [&] {
-    off_seconds = std::min(off_seconds, campaign_seconds(seeds));
-  };
-  const auto measure_armed = [&] {
-    chaos::ChaosEngine rep_engine(chaos::parse_plan(kArmedPlan), 1);
-    chaos::ChaosEngine::install(&rep_engine);
-    armed_seconds = std::min(armed_seconds, campaign_seconds(seeds));
+  const auto armed_campaign_seconds = [&] {
+    chaos::ChaosEngine::install(&engine);
+    const double seconds = campaign_seconds(seeds);
     chaos::ChaosEngine::install(nullptr);
+    return seconds;
   };
+  std::vector<double> off_runs;
+  std::vector<double> armed_runs;
+  std::vector<double> ratios;
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
+    double off = 0.0;
+    double armed = 0.0;
     if (rep % 2 == 0) {
-      measure_off();
-      measure_armed();
+      off = campaign_seconds(seeds);
+      armed = armed_campaign_seconds();
     } else {
-      measure_armed();
-      measure_off();
+      armed = armed_campaign_seconds();
+      off = campaign_seconds(seeds);
     }
+    off_runs.push_back(off);
+    armed_runs.push_back(armed);
+    ratios.push_back(armed / off);
   }
-  const double off_sps = static_cast<double>(seeds) / off_seconds;
-  const double armed_sps = static_cast<double>(seeds) / armed_seconds;
-  const double overhead_percent =
-      off_seconds > 0.0 ? (armed_seconds / off_seconds - 1.0) * 100.0 : 0.0;
+  const double off_sps = static_cast<double>(seeds) / median(off_runs);
+  const double armed_sps = static_cast<double>(seeds) / median(armed_runs);
+  const double overhead_percent = (median(ratios) - 1.0) * 100.0;
 
   std::ostringstream json;
   json << "{\n";

@@ -89,10 +89,10 @@ CompiledProgram::CompiledProgram(const CampaignConfig& config)
 }
 
 SeedStack::SeedStack(const CampaignConfig& config, const CampaignSetup& setup,
-                     const CompiledProgram& program, std::uint64_t seed,
-                     obs::MetricsRegistry* metrics, obs::TraceWriter* trace)
+                     std::uint64_t seed, obs::MetricsRegistry* metrics,
+                     obs::TraceWriter* trace)
     : seed(seed),
-      memory(program.memory_bytes()),
+      memory(setup.program->memory_bytes()),
       inputs(seed),
       checker(sim, "sctc", config.mode),
       config_(config),
@@ -115,6 +115,7 @@ SeedStack::SeedStack(const CampaignConfig& config, const CampaignSetup& setup,
     faults->set_metrics(metrics);
     faults->set_trace(trace);
   }
+  const CompiledProgram& program = *setup.program;
   spec::apply_spec(setup.specfile, program.program, memory, checker);
   checker.set_stop_on_violation(true);
   if (config.witness_depth != 0) {
@@ -213,17 +214,19 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
     setup.plan.entries.push_back(fault::parse_fault_line(fl.text, fl.line));
   }
 
-  // Probe compile: surfaces program compile errors, unresolvable
-  // propositions, and property parse and synthesis errors, and fixes the
-  // property / proposition registration order every seed will reproduce.
-  // In compiled mode the probe's plan is frozen into the spec, so the
-  // properties are parsed, synthesized and compiled once per campaign and
-  // every seed's apply_spec only binds its propositions.
-  CompiledProgram probe(config);
-  mem::AddressSpace memory(probe.memory_bytes());
+  // The campaign's one compile, then a probe checker over it: surfaces
+  // program compile errors, unresolvable propositions, and property parse
+  // and synthesis errors, and fixes the property / proposition registration
+  // order every seed will reproduce. In compiled mode the probe's plan is
+  // frozen into the spec, so the properties are parsed, synthesized and
+  // compiled once per campaign and every seed's apply_spec only binds its
+  // propositions.
+  setup.program = std::make_shared<const CompiledProgram>(config);
+  const minic::Program& program = setup.program->program;
+  mem::AddressSpace memory(setup.program->memory_bytes());
   sim::Simulation sim;
   sctc::TemporalChecker checker(sim, "sctc", config.mode);
-  spec::apply_spec(setup.specfile, probe.program, memory, checker);
+  spec::apply_spec(setup.specfile, program, memory, checker);
   for (const sctc::PropertyRecord& record : checker.properties()) {
     setup.property_names.push_back(record.name);
   }
@@ -232,12 +235,11 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
     setup.specfile.monitor_plan = checker.freeze_plan();
   }
 
-  // Resolve memory-fault targets once, against the probe compile. Every
-  // worker compiles the identical source, so the addresses are valid for
-  // all of them and resolution errors surface before any worker starts.
-  setup.plan.resolve([&probe](const std::string& name,
-                              std::uint32_t& address) {
-    const minic::GlobalVar* global = probe.program.find_global(name);
+  // Resolve memory-fault targets once, against the campaign's compile, so
+  // resolution errors surface before any worker starts.
+  setup.plan.resolve([&program](const std::string& name,
+                                std::uint32_t& address) {
+    const minic::GlobalVar* global = program.find_global(name);
     if (global == nullptr || global->is_array) return false;
     address = global->address;
     return true;
@@ -249,22 +251,10 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
 SeedRunner::SeedRunner(const CampaignConfig& config,
                        const CampaignSetup& setup)
     : config_(config), setup_(setup) {
-  // A worker that cannot even build its stack still consumes seeds and
-  // records a structured error per seed, so the campaign always finishes
-  // and sibling workers are unaffected.
-  try {
-    program_ = std::make_unique<CompiledProgram>(config);
-  } catch (const std::exception& e) {
-    program_error_ = std::string("worker setup failed: ") + e.what();
-  } catch (...) {
-    program_error_ = "worker setup failed: unknown exception";
-  }
   if (const char* env = std::getenv("ESV_CAMPAIGN_TEST_DIVERGE_SEED")) {
     diverge_seed_ = std::strtoull(env, nullptr, 10);
   }
 }
-
-SeedRunner::~SeedRunner() = default;
 
 SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   const auto started = std::chrono::steady_clock::now();
@@ -279,8 +269,8 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   if (config.collect_metrics) metrics.emplace();
   const bool tracing = config.capture_traces || !config.trace_dir.empty();
   obs::TraceWriter trace;
-  SeedStack stack(config, setup_, *program_, seed,
-                  metrics ? &*metrics : nullptr, tracing ? &trace : nullptr);
+  SeedStack stack(config, setup_, seed, metrics ? &*metrics : nullptr,
+                  tracing ? &trace : nullptr);
   const sctc::TemporalChecker& checker = stack.checker;
 
   // Test-only divergence hook: when the variable names this seed (and the
@@ -383,48 +373,42 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
 
 SeedResult SeedRunner::run_seed(std::uint64_t seed) {
   SeedResult result;
-  if (!program_) {
-    result.seed = seed;
-    result.error = program_error_;
-    result.error_kind = "infrastructure";
-  } else {
-    // Bounded retry: only infrastructure errors are retried — a fault of
-    // the software under test is a result, and a timeout would only burn
-    // another full timeout's worth of wall clock.
-    for (unsigned attempt = 0;; ++attempt) {
-      // Timed out here too so attempts that die before run_attempt's own
-      // stamp (a bad_alloc while building the address space, say) still
-      // carry a duration into the report's error capture.
-      const auto attempt_started = std::chrono::steady_clock::now();
-      try {
-        result = run_attempt(seed);
-      } catch (const std::bad_alloc&) {
-        result = SeedResult{};
-        result.seed = seed;
-        classify_bad_alloc(config_, result);
-      } catch (const std::exception& e) {
-        result = SeedResult{};
-        result.seed = seed;
-        result.error = e.what();
-        result.error_kind = "infrastructure";
-      } catch (...) {
-        result = SeedResult{};
-        result.seed = seed;
-        result.error = "unknown exception";
-        result.error_kind = "infrastructure";
-      }
-      if (result.wall_ms == 0.0) {
-        result.wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - attempt_started)
-                             .count();
-      }
-      result.attempts = attempt + 1;
-      if (result.error_kind != "infrastructure" ||
-          attempt >= config_.seed_retries) {
-        break;
-      }
-      backoff_before_retry(seed, attempt);
+  // Bounded retry: only infrastructure errors are retried — a fault of
+  // the software under test is a result, and a timeout would only burn
+  // another full timeout's worth of wall clock.
+  for (unsigned attempt = 0;; ++attempt) {
+    // Timed out here too so attempts that die before run_attempt's own
+    // stamp (a bad_alloc while building the address space, say) still
+    // carry a duration into the report's error capture.
+    const auto attempt_started = std::chrono::steady_clock::now();
+    try {
+      result = run_attempt(seed);
+    } catch (const std::bad_alloc&) {
+      result = SeedResult{};
+      result.seed = seed;
+      classify_bad_alloc(config_, result);
+    } catch (const std::exception& e) {
+      result = SeedResult{};
+      result.seed = seed;
+      result.error = e.what();
+      result.error_kind = "infrastructure";
+    } catch (...) {
+      result = SeedResult{};
+      result.seed = seed;
+      result.error = "unknown exception";
+      result.error_kind = "infrastructure";
     }
+    if (result.wall_ms == 0.0) {
+      result.wall_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - attempt_started)
+                           .count();
+    }
+    result.attempts = attempt + 1;
+    if (result.error_kind != "infrastructure" ||
+        attempt >= config_.seed_retries) {
+      break;
+    }
+    backoff_before_retry(seed, attempt);
   }
   // Errored seeds in a fault campaign carry the plan digest so the crash
   // report alone pins down the reproducing `--seed=N --faults=...` run.

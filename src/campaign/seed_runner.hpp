@@ -8,11 +8,13 @@
 //
 // Split of responsibilities:
 //   prepare_campaign()    validate the whole configuration once (spec parse,
-//                         fault-plan parse + resolve, property probe) and, in
-//                         compiled mode, freeze the monitor plan every seed
-//                         shares; throws on configuration errors before any
-//                         seed runs
-//   CompiledProgram       one thread's private compile of the program
+//                         program compile, fault-plan parse + resolve,
+//                         property probe) and, in compiled mode, freeze the
+//                         monitor plan every seed shares; throws on
+//                         configuration errors before any seed runs
+//   CompiledProgram       the campaign's one compile of the program: built by
+//                         prepare_campaign and shared read-only by every
+//                         thread, worker compute thread and single run
 //   SeedStack             the one place a seed's stack is wired: memory,
 //                         stimulus, faults, kernel, checker with the spec
 //                         applied, ESW model or clock + CPU, and supervisor
@@ -48,9 +50,29 @@
 
 namespace esv::campaign {
 
+/// The campaign's compile of its program. The interpreter, the ESW model and
+/// the CPU take the AST, the lowering and the code image by const& and only
+/// read them, so one instance serves every thread of a process.
+struct CompiledProgram {
+  explicit CompiledProgram(const CampaignConfig& config);
+
+  /// Address-space size of every stack built on this program: the data
+  /// segment rounded up to a 4 KiB page.
+  std::uint32_t memory_bytes() const {
+    return (program.data_segment_end() + 0xFFFu) & ~0xFFFu;
+  }
+
+  minic::Program program;
+  std::optional<esw::EswProgram> lowered;  // approach 2
+  std::optional<cpu::CodeImage> image;     // approach 1
+};
+
 /// Validated, immutable, shareable campaign state. One instance serves every
 /// worker thread of a process; workers never mutate it.
 struct CampaignSetup {
+  /// Held by pointer: the lowering and the code image point into the
+  /// minic::Program, so it must never move.
+  std::shared_ptr<const CompiledProgram> program;
   spec::SpecFile specfile;  // with the frozen monitor plan in compiled mode
   fault::FaultPlan plan;  // merged --faults + spec fault lines, resolved
   std::vector<std::string> property_names;
@@ -67,34 +89,17 @@ struct CampaignSetup {
 /// std::invalid_argument, ... on configuration errors.
 CampaignSetup prepare_campaign(const CampaignConfig& config);
 
-/// One thread's compile of the campaign program. Each worker compiles its
-/// own copy so no AST, lowering, or code image is ever shared between
-/// threads (the front end has no synchronization and needs none).
-struct CompiledProgram {
-  explicit CompiledProgram(const CampaignConfig& config);
-
-  /// Address-space size of every stack built on this program: the data
-  /// segment rounded up to a 4 KiB page.
-  std::uint32_t memory_bytes() const {
-    return (program.data_segment_end() + 0xFFFu) & ~0xFFFu;
-  }
-
-  minic::Program program;
-  std::optional<esw::EswProgram> lowered;  // approach 2
-  std::optional<cpu::CodeImage> image;     // approach 1
-};
-
 /// Everything one seed runs on. Construction builds the stack with the spec
 /// applied and the checker bound to the step event; run() adds the
-/// supervisor and runs the kernel. `setup`, `program` and the optional
-/// metrics and trace sinks must outlive the stack. Callers keep what is
-/// their own: error classification and retries (SeedRunner), waveforms,
-/// text output and exit codes (esv-verify).
+/// supervisor and runs the kernel. `setup` and the optional metrics and
+/// trace sinks must outlive the stack. Callers keep what is their own: error
+/// classification and retries (SeedRunner), waveforms, text output and exit
+/// codes (esv-verify).
 class SeedStack {
  public:
   SeedStack(const CampaignConfig& config, const CampaignSetup& setup,
-            const CompiledProgram& program, std::uint64_t seed,
-            obs::MetricsRegistry* metrics, obs::TraceWriter* trace);
+            std::uint64_t seed, obs::MetricsRegistry* metrics,
+            obs::TraceWriter* trace);
   SeedStack(const SeedStack&) = delete;
   SeedStack& operator=(const SeedStack&) = delete;
 
@@ -138,14 +143,10 @@ class SeedStack {
   std::uint64_t statements_ = 0;
 };
 
-/// One per worker thread. Construction compiles a private copy of the
-/// program (no AST, lowering, or code image is ever shared between threads);
-/// a construction failure is latched and reported per seed as an
-/// infrastructure error instead of thrown, so sibling workers are unaffected.
+/// One per worker thread; `config` and `setup` must outlive it.
 class SeedRunner {
  public:
   SeedRunner(const CampaignConfig& config, const CampaignSetup& setup);
-  ~SeedRunner();
   SeedRunner(const SeedRunner&) = delete;
   SeedRunner& operator=(const SeedRunner&) = delete;
 
@@ -159,8 +160,6 @@ class SeedRunner {
 
   const CampaignConfig& config_;
   const CampaignSetup& setup_;
-  std::unique_ptr<CompiledProgram> program_;
-  std::string program_error_;
   /// ESV_CAMPAIGN_TEST_DIVERGE_SEED, read once (see run_attempt).
   std::optional<std::uint64_t> diverge_seed_;
 };

@@ -71,7 +71,7 @@ class Broker {
         report_(campaign::make_report_skeleton(config, setup_)),
         seeds_(config, setup_, report_),
         backoff_(options.backoff_base_seconds, options.backoff_cap_seconds,
-                 options.backoff_seed),
+                 /*seed=*/1),
         chaos_seed_text_(std::to_string(options.chaos_seed)) {
     // MSG_NOSIGNAL only covers send(); a worker vanishing between poll() and
     // any other write path would still raise SIGPIPE and kill the broker.
@@ -81,9 +81,8 @@ class Broker {
     jobs_ = config.jobs < 1 ? 1 : config.jobs;
     std::uint64_t workers = config.workers < 1 ? 1 : config.workers;
     workers_ = static_cast<unsigned>(std::min<std::uint64_t>(workers, count));
-    shard_ = options.shard_size != 0
-                 ? options.shard_size
-                 : std::clamp<std::uint64_t>(count / (workers_ * 4), 1, 64);
+    // Seeds per ASSIGN frame.
+    shard_ = std::clamp<std::uint64_t>(count / (workers_ * 4), 1, 64);
 
     binary_ = config.worker_binary.empty() ? default_worker_binary()
                                            : config.worker_binary;
@@ -119,7 +118,6 @@ class Broker {
 
   campaign::CampaignReport run() {
     Clock::time_point start = Clock::now();
-    last_progress_ = start;
     deadline_ = campaign::campaign_deadline(config_, start);
     // A fully resumed campaign has nothing left to dispatch: don't spawn.
     if (!seeds_.complete()) {
@@ -371,34 +369,6 @@ class Broker {
     }
   }
 
-  /// Progress watchdog (BrokerOptions::progress_timeout_seconds): seeds are
-  /// booked but no RESULT has landed anywhere for a full window — kill every
-  /// worker holding seeds and let the crash path recover the work. This is
-  /// the backstop for losses heartbeats cannot see.
-  void check_progress() {
-    if (options_.progress_timeout_seconds <= 0.0) return;
-    bool outstanding = false;
-    for (const WorkerSlot& slot : slots_) {
-      outstanding |= !slot.assigned.empty();
-    }
-    if (!outstanding) {
-      last_progress_ = Clock::now();
-      return;
-    }
-    if (seconds_since(last_progress_) < options_.progress_timeout_seconds) {
-      return;
-    }
-    for (WorkerSlot& slot : slots_) {
-      if (!slot.alive || slot.kill_sent || slot.assigned.empty()) continue;
-      metrics_.counter("dist.progress_timeouts").add();
-      events_.worker_event("progress_timeout", slot.id, slot.generation,
-                           std::to_string(slot.assigned.size()) +
-                               " seeds outstanding with no campaign progress");
-      kill_slot(slot);
-    }
-    last_progress_ = Clock::now();
-  }
-
   // --- scheduling --------------------------------------------------------
 
   bool send_to(WorkerSlot& slot, const std::string& payload) {
@@ -501,7 +471,6 @@ class Broker {
     // failure, and a resumed run should retry those seeds, not replay them.
     if (config_.on_result) config_.on_result(result);
     seeds_.fill(index, std::move(result));
-    last_progress_ = Clock::now();
     metrics_.counter("dist.results_rx").add();
   }
 
@@ -724,7 +693,6 @@ class Broker {
     while (!seeds_.complete()) {
       reap_workers();
       check_timeouts();
-      check_progress();
       promote_deferred();
       maybe_respawn();
       if (seeds_.complete()) break;
@@ -849,7 +817,6 @@ class Broker {
 
   BackoffSchedule backoff_;
   std::string chaos_seed_text_;
-  Clock::time_point last_progress_{};  // progress-watchdog anchor
   std::optional<Clock::time_point> deadline_;
 
   obs::MetricsRegistry metrics_;

@@ -14,9 +14,7 @@
 //     slot respawns up to BrokerOptions::max_respawns times; both waits use
 //     exponential backoff with deterministic jitter
 //   * worker hang — no frame within heartbeat_timeout_seconds is treated as
-//     a crash: SIGKILL, then the crash path above. An optional progress
-//     watchdog additionally kills workers holding seeds when no RESULT has
-//     landed anywhere for progress_timeout_seconds
+//     a crash: SIGKILL, then the crash path above
 //   * lost ASSIGN — a worker heartbeating idle while seeds are booked to it
 //     gets its booking re-sent (duplicate RESULTs are deduped)
 //   * every worker dead with no respawns left — the broker degrades: the
@@ -80,21 +78,14 @@ struct BrokerOptions {
   /// How long to wait after SHUTDOWN for the final METRICS frames before
   /// killing stragglers.
   double shutdown_grace_seconds = 5.0;
-  /// Seeds per ASSIGN frame; 0 picks clamp(count / (workers * 4), 1, 64).
-  std::uint64_t shard_size = 0;
 
   /// Exponential backoff for worker respawns and crashed-seed re-dispatch:
   /// attempt n (0-based) waits base * 2^n seconds, capped, then jittered
-  /// deterministically into [50%, 100%] of that (seeded by backoff_seed).
+  /// deterministically into [50%, 100%] of that (a BackoffSchedule seeded
+  /// with 1).
   double backoff_base_seconds = 0.05;
   double backoff_cap_seconds = 2.0;
-  std::uint64_t backoff_seed = 1;
 
-  /// Progress watchdog: when > 0 and no RESULT has landed for this long
-  /// while seeds are booked to workers, every worker holding seeds is
-  /// killed (and recovered through the normal crash path). Catches lost
-  /// work that heartbeats alone would keep alive forever. 0 disables.
-  double progress_timeout_seconds = 0.0;
   /// A connected worker heartbeating queued=0/busy=0 while seeds are booked
   /// to it lost an ASSIGN in flight; its booking is re-sent after this long
   /// (rate limited per ASSIGN). Duplicate results are deduped, so this is

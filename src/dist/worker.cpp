@@ -200,8 +200,8 @@ void compute_loop(WorkerState& state, const campaign::CampaignConfig& config,
     maybe_test_crash(state, seed);
     // Self-chaos worker.seed point (docs/RESILIENCE.md): crash reproduces a
     // real mid-seed death (the broker re-dispatches under --seed-retries);
-    // stall exercises the heartbeat-keeps-us-alive / progress-watchdog
-    // boundary without killing anything.
+    // stall exercises the heartbeat-keeps-us-alive boundary without killing
+    // anything.
     if (const chaos::Injection injection =
             chaos::at(chaos::Point::kWorkerSeed)) {
       if (injection.action == chaos::Action::kCrash) ::raise(SIGKILL);

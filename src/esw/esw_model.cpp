@@ -22,17 +22,4 @@ sim::Task EswModel::run() {
   pc_event_.notify();
 }
 
-std::uint64_t run_standalone(Interpreter& interpreter,
-                             sctc::TemporalChecker& checker,
-                             std::uint64_t max_steps) {
-  std::uint64_t executed = 0;
-  while (executed < max_steps) {
-    if (!interpreter.step()) break;
-    ++executed;
-    checker.step_all();
-    if (checker.all_decided()) break;
-  }
-  return executed;
-}
-
 }  // namespace esv::esw

@@ -4,12 +4,8 @@
 // the model notifies `esw_pc_event` — the derived model's timing reference —
 // and suspends for one statement-time quantum, so an SCTC bound to the event
 // advances one temporal step per statement (paper Fig. 5, lines 13-15).
-//
-// For maximum-speed experiments that do not need kernel interleaving, use
-// run_standalone() below instead: same semantics, no scheduler.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "esw/interpreter.hpp"
@@ -42,12 +38,5 @@ class EswModel : public sim::Module {
   sim::Event pc_event_;
   sim::Time statement_time_;
 };
-
-/// Kernel-free execution: steps the interpreter and the checker in lockstep
-/// until the program ends, every property is decided, or `max_steps` is
-/// reached. Returns the number of statements executed.
-std::uint64_t run_standalone(Interpreter& interpreter,
-                             sctc::TemporalChecker& checker,
-                             std::uint64_t max_steps);
 
 }  // namespace esv::esw

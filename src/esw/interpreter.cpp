@@ -44,18 +44,6 @@ void Interpreter::push_frame(const minic::Function& fn,
   frames_.push_back(std::move(frame));
 }
 
-int Interpreter::current_line() const {
-  if (frames_.empty()) return 0;
-  const Frame& f = frames_.back();
-  if (f.pc >= f.fn->ops.size()) return 0;
-  return f.fn->ops[f.pc].line;
-}
-
-const std::string& Interpreter::current_function() const {
-  if (frames_.empty()) return empty_name_;
-  return frames_.back().fn->source->name;
-}
-
 std::uint32_t Interpreter::global_address(const std::string& name) const {
   const minic::GlobalVar* g = program_.find_global(name);
   if (g == nullptr) {
@@ -66,10 +54,6 @@ std::uint32_t Interpreter::global_address(const std::string& name) const {
 
 std::uint32_t Interpreter::global(const std::string& name) const {
   return memory_.sctc_read_uint(global_address(name));
-}
-
-void Interpreter::set_global(const std::string& name, std::uint32_t value) {
-  memory_.write_word(global_address(name), value);
 }
 
 std::uint64_t Interpreter::run(std::uint64_t max_steps) {

@@ -67,13 +67,6 @@ class Interpreter {
 
   /// Value of a global variable (reads the virtual memory model).
   std::uint32_t global(const std::string& name) const;
-  void set_global(const std::string& name, std::uint32_t value);
-
-  /// Line of the next statement to execute (0 when finished).
-  int current_line() const;
-
-  /// Name of the function currently executing ("" when finished).
-  const std::string& current_function() const;
 
   mem::AddressSpace& memory() { return memory_; }
 
@@ -98,7 +91,6 @@ class Interpreter {
   minic::InputProvider& inputs_;
   std::vector<Frame> frames_;
   std::uint64_t steps_ = 0;
-  std::string empty_name_;
 };
 
 }  // namespace esv::esw

@@ -127,14 +127,6 @@ void TemporalChecker::register_proposition(const std::string& name,
                        std::make_unique<LambdaProposition>(std::move(predicate)));
 }
 
-bool TemporalChecker::has_proposition(const std::string& name) const {
-  const temporal::FormulaRef node = formulas().find_prop(name);
-  if (node == nullptr) return false;
-  const auto idx = static_cast<std::size_t>(node->prop_index());
-  return idx < propositions_by_index_.size() &&
-         propositions_by_index_[idx] != nullptr;
-}
-
 temporal::FormulaFactory& TemporalChecker::factory() {
   if (!own_plan_) {
     throw std::logic_error("factory: the checker runs a frozen plan");
@@ -385,11 +377,6 @@ void TemporalChecker::step_all() {
     }
   }
   if (violated_now && stop_on_violation_) sim_.stop();
-}
-
-std::uint64_t TemporalChecker::proposition_true_count(int prop_index) const {
-  const auto idx = static_cast<std::size_t>(prop_index);
-  return idx < true_counts_.size() ? true_counts_[idx] : 0;
 }
 
 std::vector<std::string> TemporalChecker::registered_proposition_names() const {

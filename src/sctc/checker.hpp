@@ -160,7 +160,6 @@ class TemporalChecker : public sim::Module {
   /// Convenience: registers a LambdaProposition.
   void register_proposition(const std::string& name,
                             std::function<bool()> predicate);
-  bool has_proposition(const std::string& name) const;
 
   /// Parses and instantiates a property monitor into the checker's private
   /// plan. Every proposition the property mentions must already be
@@ -237,16 +236,14 @@ class TemporalChecker : public sim::Module {
   std::string report() const;
 
   // --- proposition coverage ---
-  /// Number of steps in which the proposition with the given factory index
-  /// evaluated to true (since construction / the last reset_monitors()).
-  /// Campaign runs merge these counts across seeds into a stimulus-coverage
-  /// figure: a proposition that is never (or always) true points at a
-  /// constraint set that cannot exercise the property.
-  std::uint64_t proposition_true_count(int prop_index) const;
   /// Names of all registered propositions, in factory index order.
   std::vector<std::string> registered_proposition_names() const;
-  /// True counts for all registered propositions, aligned index-by-index
-  /// with registered_proposition_names().
+  /// Number of steps in which each registered proposition evaluated to true
+  /// (since construction / the last reset_monitors()), aligned index-by-index
+  /// with registered_proposition_names(). Campaign runs merge these counts
+  /// across seeds into a stimulus-coverage figure: a proposition that is
+  /// never (or always) true points at a constraint set that cannot exercise
+  /// the property.
   std::vector<std::uint64_t> registered_proposition_true_counts() const;
 
   /// The factory of the checker's private plan (exposed for tests and

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
 namespace esv::sim {

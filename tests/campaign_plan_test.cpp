@@ -7,8 +7,10 @@
 //     seed and checks the compiled tables against the interpreted oracle)
 //     reaches, under one and under four worker threads;
 //   - building a seed's stack no longer does work that grows with the
-//     property's time bound. This binary replaces the global operator new
-//     with a counting version to measure that.
+//     property's time bound, and building a worker thread's SeedRunner no
+//     longer compiles the program: prepare_campaign compiles it once and
+//     every thread shares it. This binary replaces the global operator new
+//     with a counting version to measure both.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -78,13 +80,13 @@ TEST(SharedPlanCampaignTest, PrepareFreezesAPlanForCompiledModeOnly) {
 }
 
 class CorpusParityTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(CorpusParityTest, SharedPlanMatchesPerSeedSynthesisSeedBySeed) {
   const auto [study, approach] = GetParam();
   CampaignConfig config;
-  config.program_source = read_data(std::string(study) + ".c");
-  config.spec_text = read_data(std::string(study) + ".esv");
+  config.program_source = read_data(study + ".c");
+  config.spec_text = read_data(study + ".esv");
   config.approach = approach;
   config.max_steps = 30'000;
   config.seed_lo = 1;
@@ -120,8 +122,10 @@ TEST_P(CorpusParityTest, SharedPlanMatchesPerSeedSynthesisSeedBySeed) {
 
 INSTANTIATE_TEST_SUITE_P(
     ExamplesData, CorpusParityTest,
-    ::testing::Combine(::testing::Values("blinker", "can_transport",
-                                         "osek_scheduler", "sensor_debounce"),
+    ::testing::Combine(::testing::Values(std::string("blinker"),
+                                         std::string("can_transport"),
+                                         std::string("osek_scheduler"),
+                                         std::string("sensor_debounce")),
                        ::testing::Values(1, 2)));
 
 /// Heap allocations made while constructing seed 1's stack on a prepared
@@ -136,9 +140,8 @@ std::uint64_t stack_allocations(const std::string& property) {
       "check respond: " + property + "\n";
   config.mode = sctc::MonitorMode::kCompiled;
   const CampaignSetup setup = prepare_campaign(config);
-  const CompiledProgram program(config);
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  SeedStack stack(config, setup, program, 1, nullptr, nullptr);
+  SeedStack stack(config, setup, 1, nullptr, nullptr);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
@@ -152,6 +155,37 @@ TEST(SharedPlanCampaignTest, StackAllocationsDoNotGrowWithTheTimeBound) {
       stack_allocations("G (led_on -> F[1000] led_off)");
   EXPECT_EQ(short_bound, long_bound);
   EXPECT_GT(short_bound, 0u);
+}
+
+/// Heap allocations made while constructing a SeedRunner on a prepared
+/// campaign over examples/data/`study`.
+std::uint64_t runner_allocations(const std::string& study, int approach) {
+  CampaignConfig config;
+  config.program_source = read_data(study + ".c");
+  config.spec_text = read_data(study + ".esv");
+  config.approach = approach;
+  const CampaignSetup setup = prepare_campaign(config);
+  EXPECT_NE(setup.program, nullptr);
+  if (setup.program != nullptr) {
+    EXPECT_EQ(setup.program->lowered.has_value(), approach == 2);
+    EXPECT_EQ(setup.program->image.has_value(), approach == 1);
+  }
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const SeedRunner runner(config, setup);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(SharedPlanCampaignTest, SeedRunnerConstructionDoesNotCompile) {
+  // Compiling osek_scheduler.c (the AST, the lowering or the code image)
+  // allocates far more than compiling blinker.c; a runner that shares the
+  // setup's compile allocates the same few blocks for either.
+  for (const int approach : {1, 2}) {
+    SCOPED_TRACE("approach " + std::to_string(approach));
+    const std::uint64_t blinker = runner_allocations("blinker", approach);
+    const std::uint64_t osek = runner_allocations("osek_scheduler", approach);
+    EXPECT_EQ(blinker, osek);
+    EXPECT_LE(blinker, 4u);
+  }
 }
 
 }  // namespace

@@ -361,27 +361,5 @@ TEST(EswModelTest, PcEventDrivesChecker) {
   EXPECT_EQ(checker.steps(), 5u);
 }
 
-TEST(EswModelTest, StandaloneRunStopsWhenDecided) {
-  minic::Program program = minic::compile(R"(
-    int x;
-    void main(void) {
-      while (1) { x = x + 1; }
-    }
-  )");
-  EswProgram lowered = lower_program(program);
-  mem::AddressSpace memory(0x10000);
-  minic::ZeroInputProvider inputs;
-  Interpreter interp(program, lowered, memory, inputs);
-  sim::Simulation sim;
-  sctc::TemporalChecker checker(sim, "sctc");
-  checker.register_proposition("x_big", [&interp] {
-    return interp.global("x") >= 10;
-  });
-  checker.add_property("grows", "F x_big");
-  const std::uint64_t steps = run_standalone(interp, checker, 1000000);
-  EXPECT_EQ(checker.validated_count(), 1u);
-  EXPECT_LT(steps, 100u);  // decided long before the budget
-}
-
 }  // namespace
 }  // namespace esv::esw

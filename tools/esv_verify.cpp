@@ -614,7 +614,6 @@ int main(int argc, char** argv) {
     // checks (exit 2), same stack.
     config.seed_lo = config.seed_hi = options.seed;
     const campaign::CampaignSetup setup = campaign::prepare_campaign(config);
-    const campaign::CompiledProgram program(config);
 
     // Observability sinks (docs/OBSERVABILITY.md).
     const bool want_metrics = !options.metrics_path.empty();
@@ -623,7 +622,7 @@ int main(int argc, char** argv) {
     std::ofstream trace_out = open_output(options.trace_path);
     obs::MetricsRegistry metrics;
     obs::TraceWriter trace;
-    campaign::SeedStack stack(config, setup, program, options.seed,
+    campaign::SeedStack stack(config, setup, options.seed,
                               want_metrics ? &metrics : nullptr,
                               want_trace ? &trace : nullptr);
     const sctc::TemporalChecker& checker = stack.checker;
@@ -635,7 +634,7 @@ int main(int argc, char** argv) {
       for (const auto& prop : setup.specfile.propositions) {
         if (!traced.insert(prop.global).second) continue;
         const std::uint32_t address =
-            program.program.find_global(prop.global)->address;
+            setup.program->program.find_global(prop.global)->address;
         vcd.add_u32(prop.global, [&stack, address] {
           return stack.memory.sctc_read_uint(address);
         });
