@@ -12,7 +12,9 @@
 
 #include "esw/esw_model.hpp"
 #include "minic/sema.hpp"
+#include "sctc/checker.hpp"
 #include "temporal/automaton.hpp"
+#include "temporal/parser.hpp"
 
 int main() {
   using namespace esv;

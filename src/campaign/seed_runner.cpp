@@ -200,6 +200,16 @@ void SeedStack::finish() {
 }
 
 CampaignSetup prepare_campaign(const CampaignConfig& config) {
+  const std::uint64_t jobs = std::max(1u, config.jobs);
+  const std::uint64_t workers = std::max(1u, config.workers);  // 0: in process
+  if (jobs * workers > kMaxParallelism) {
+    throw ParallelismError(
+        "campaign: " +
+        (config.workers == 0 ? "jobs " + std::to_string(jobs)
+                             : "workers x jobs " + std::to_string(workers) +
+                                   " x " + std::to_string(jobs)) +
+        " exceeds the limit of " + std::to_string(kMaxParallelism));
+  }
   if (config.approach != 1 && config.approach != 2) {
     throw std::invalid_argument("campaign: approach must be 1 or 2");
   }

@@ -34,6 +34,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/campaign.hpp"
@@ -44,6 +45,7 @@
 #include "fault/fault_plan.hpp"
 #include "mem/address_space.hpp"
 #include "minic/sema.hpp"
+#include "sctc/checker.hpp"
 #include "sim/clock.hpp"
 #include "spec/specfile.hpp"
 #include "stimulus/random_inputs.hpp"
@@ -83,10 +85,24 @@ struct CampaignSetup {
   std::string plan_digest;
 };
 
-/// Validates the configuration (approach, seed range, spec, program, fault
-/// plan) and resolves everything that can fail before a single seed runs.
-/// Throws spec::SpecError, minic::SemaError, fault::FaultPlanError,
-/// std::invalid_argument, ... on configuration errors.
+/// Bound on a campaign's parallelism: jobs, workers, and workers x jobs (0
+/// counts as 1). Every path that starts threads or processes for a campaign
+/// runs prepare_campaign first, so no command line or wire frame can ask for
+/// more.
+constexpr unsigned kMaxParallelism = 1024;
+
+/// prepare_campaign's refusal of a jobs or workers count past
+/// kMaxParallelism.
+class ParallelismError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Validates the configuration (parallelism, approach, seed range, spec,
+/// program, fault plan) and resolves everything that can fail before a
+/// single seed runs. Throws ParallelismError, spec::SpecError,
+/// minic::SemaError, fault::FaultPlanError, std::invalid_argument, ... on
+/// configuration errors.
 CampaignSetup prepare_campaign(const CampaignConfig& config);
 
 /// Everything one seed runs on. Construction builds the stack with the spec

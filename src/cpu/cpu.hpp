@@ -55,7 +55,6 @@ class Cpu : public sim::Module {
 
   std::uint64_t instructions_retired() const { return instructions_; }
   std::uint64_t cycles_consumed() const { return cycles_; }
-  std::uint32_t current_pc() const { return pc_; }
 
   /// Resets architectural state and re-initializes the data segment.
   void reset();

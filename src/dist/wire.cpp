@@ -8,6 +8,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -538,7 +539,13 @@ campaign::CampaignConfig config_from_json(const Json& json) {
             throw WireError("config: unknown monitor mode \"" + mode + "\"");
           }
         } else {
-          value = static_cast<T>(field.as_u64());
+          const std::uint64_t number = field.as_u64();
+          if (number > static_cast<std::uint64_t>(
+                           std::numeric_limits<T>::max())) {
+            throw WireError("config: " + std::string(name) + " " +
+                            std::to_string(number) + " is out of range");
+          }
+          value = static_cast<T>(number);
         }
       });
   return config;

@@ -49,7 +49,6 @@ class Json {
   static Json parse(std::string_view text);
 
   Type type() const { return type_; }
-  bool is_object() const { return type_ == Type::kObject; }
 
   bool as_bool() const;
   std::uint64_t as_u64() const;

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -23,6 +24,7 @@
 
 #include "campaign/seed_runner.hpp"
 #include "chaos/chaos.hpp"
+#include "common/flags.hpp"
 #include "dist/protocol.hpp"
 #include "obs/metrics.hpp"
 
@@ -69,7 +71,7 @@ void send_payload(WorkerState& state, const std::string& payload) {
 /// the seed lands on first.
 void read_test_crash_env(WorkerState& state) {
   if (const char* seed = std::getenv("ESV_WORKER_TEST_CRASH_SEED")) {
-    state.test_crash_seed = std::strtoull(seed, nullptr, 10);
+    state.test_crash_seed = common::parse_u64(seed);
   }
   if (const char* latch = std::getenv("ESV_WORKER_TEST_CRASH_LATCH")) {
     state.test_crash_latch = latch;
@@ -265,23 +267,16 @@ int worker_main(int argc, char** argv) {
   std::string socket_path;
   unsigned id = 0;
   unsigned generation = 0;
-  bool have_id = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg.rfind("--connect=", 0) == 0) {
-      socket_path = arg.substr(10);
-    } else if (arg.rfind("--id=", 0) == 0) {
-      id = static_cast<unsigned>(
-          std::strtoul(std::string(arg.substr(5)).c_str(), nullptr, 10));
-      have_id = true;
-    } else if (arg.rfind("--generation=", 0) == 0) {
-      generation = static_cast<unsigned>(
-          std::strtoul(std::string(arg.substr(13)).c_str(), nullptr, 10));
-    } else {
-      return fail_usage("unknown argument");
-    }
+  common::FlagTable flags(
+      [](const std::string&) { return "unknown argument"; });
+  flags.text("--connect", socket_path);
+  flags.number("--id", id, "--id must be an integer");
+  flags.number("--generation", generation, "--generation must be an integer");
+  std::string error;
+  if (!flags.parse(argc, argv, nullptr, error)) {
+    return fail_usage(error.c_str());
   }
-  if (socket_path.empty() || !have_id) {
+  if (!flags.given("--connect") || !flags.given("--id")) {
     return fail_usage("--connect and --id are required");
   }
 
@@ -344,7 +339,8 @@ int worker_main(int argc, char** argv) {
     return 1;
   }
 
-  unsigned jobs = config.jobs < 1 ? 1 : config.jobs;
+  // prepare_campaign bounded jobs by kMaxParallelism.
+  const unsigned jobs = std::max(1u, config.jobs);
   SeedMemCeiling mem_ceiling(config.seed_mem_limit_mb);
   std::vector<std::thread> compute;
   compute.reserve(jobs);

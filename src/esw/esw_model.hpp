@@ -9,7 +9,6 @@
 #include <string>
 
 #include "esw/interpreter.hpp"
-#include "sctc/checker.hpp"
 #include "sim/module.hpp"
 
 namespace esv::esw {

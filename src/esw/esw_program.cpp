@@ -400,12 +400,6 @@ class Lowerer {
 
 }  // namespace
 
-std::size_t EswProgram::op_count() const {
-  std::size_t n = 0;
-  for (const auto& fn : functions) n += fn.ops.size();
-  return n;
-}
-
 EswProgram lower_program(const Program& program) {
   EswProgram out;
   Lowerer(program, out).run();

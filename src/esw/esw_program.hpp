@@ -80,8 +80,6 @@ struct EswProgram {
   const LoweredFunction& function_of(const minic::Function& fn) const {
     return functions[static_cast<std::size_t>(fn.index)];
   }
-  /// Total number of statement-level ops (diagnostics).
-  std::size_t op_count() const;
 };
 
 /// Runs the C2SystemC translation on a resolved program.

@@ -23,13 +23,6 @@ void FlashController::backdoor_write(std::uint32_t byte_offset,
   cells_[index] = value;
 }
 
-void FlashController::erase_all() {
-  cells_.assign(cells_.size(), kErasedWord);
-  error_ = false;
-  busy_ticks_ = 0;
-  active_cmd_ = 0;
-}
-
 std::uint32_t FlashController::mmio_read(std::uint32_t offset) {
   if (offset >= kArrayOffset) {
     return word_at(offset - kArrayOffset);

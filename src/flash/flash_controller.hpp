@@ -75,8 +75,6 @@ class FlashController final : public mem::MmioDevice {
   std::uint32_t word_at(std::uint32_t byte_offset) const;
   /// Directly programs a cell, bypassing timing (test setup).
   void backdoor_write(std::uint32_t byte_offset, std::uint32_t value);
-  /// Erases everything (power-on state is all-erased).
-  void erase_all();
 
   /// Command kinds a pending injected fault applies to. A targeted fault
   /// stays armed until a matching command starts; kAny fails the very next

@@ -51,6 +51,13 @@ std::string config_digest(const campaign::CampaignConfig& config) {
   return digest.hex();
 }
 
+std::optional<SyncPolicy> parse_sync_policy(std::string_view name) {
+  if (name == "record") return SyncPolicy::kRecord;
+  if (name == "batch") return SyncPolicy::kBatch;
+  if (name == "none") return SyncPolicy::kNone;
+  return std::nullopt;
+}
+
 // --- record framing ------------------------------------------------------
 
 namespace {

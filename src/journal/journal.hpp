@@ -33,8 +33,10 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -70,6 +72,9 @@ std::string config_digest(const campaign::CampaignConfig& config);
 ///            lose everything since the last writeback, a plain process
 ///            kill loses nothing
 enum class SyncPolicy { kRecord, kBatch, kNone };
+
+/// The --journal-sync names: "record", "batch", "none"; nullopt otherwise.
+std::optional<SyncPolicy> parse_sync_policy(std::string_view name);
 
 constexpr unsigned kBatchSyncInterval = 32;
 

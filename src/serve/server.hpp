@@ -156,7 +156,6 @@ class Server {
   std::uint64_t journal_snapshot_bytes() const {
     return journal_ != nullptr ? journal_->snapshot_bytes() : 0;
   }
-  std::uint64_t cache_evictions() const { return cache_.evictions(); }
 
  private:
   enum class JobState { kQueued, kRunning, kDone, kCancelled };

@@ -79,7 +79,6 @@ void Event::add_waiter(Process& p) {
 void Event::add_static_method(MethodProcess& m) { static_methods_.push_back(&m); }
 
 void Event::fire() {
-  ++fire_count_;
   pending_ = Pending::kNone;
   // Swap out the waiter list first: a woken process may immediately wait on
   // this event again.

@@ -164,9 +164,6 @@ class Event {
   /// Cancels any pending delta/timed notification.
   void cancel();
 
-  /// Number of times this event has fired (diagnostics / tests).
-  std::uint64_t fire_count() const { return fire_count_; }
-
  private:
   friend class Simulation;
   struct Waiter {
@@ -185,7 +182,6 @@ class Event {
   std::string name_;
   std::vector<Waiter> waiters_;
   std::vector<MethodProcess*> static_methods_;
-  std::uint64_t fire_count_ = 0;
 
   enum class Pending { kNone, kDelta, kTimed };
   Pending pending_ = Pending::kNone;

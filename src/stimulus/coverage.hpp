@@ -29,7 +29,6 @@ class ReturnCodeCoverage {
   }
   bool complete() const { return observed_.size() == expected_.size(); }
   std::size_t observed_count() const { return observed_.size(); }
-  std::size_t expected_count() const { return expected_.size(); }
   const std::set<std::uint32_t>& observed() const { return observed_; }
   /// Non-zero values seen that are NOT in the documented set — a real
   /// specification violation if it ever happens.

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign.hpp"
+#include "campaign/seed_runner.hpp"
 #include "esw/esw_model.hpp"
 #include "mem/address_space.hpp"
 #include "minic/sema.hpp"
@@ -466,6 +470,43 @@ TEST(CampaignTest, ConfigurationErrorsThrowBeforeWorkersStart) {
         << e.what();
   }
   EXPECT_EQ(results.load(), 0);
+}
+
+// Every path runs prepare_campaign before it starts a thread or a process,
+// so the parallelism bound holds there for the in-process pool, the broker,
+// the worker shards and the single run alike.
+TEST(CampaignTest, ParallelismPastTheBoundIsRefused) {
+  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+  CampaignConfig config = blinker_config(1, 1, kMaxParallelism);
+  EXPECT_NO_THROW(prepare_campaign(config));
+  config.workers = 1;
+  EXPECT_NO_THROW(prepare_campaign(config));
+  for (const auto& [workers, jobs] :
+       std::vector<std::pair<unsigned, unsigned>>{
+           {0, kMaxParallelism + 1},
+           {0, kMax},
+           {kMaxParallelism + 1, 1},
+           {kMaxParallelism + 1, 0},
+           {2, kMaxParallelism / 2 + 1},
+           {kMax, kMax}}) {
+    config.workers = workers;
+    config.jobs = jobs;
+    EXPECT_THROW(prepare_campaign(config), ParallelismError)
+        << workers << " x " << jobs;
+  }
+  config.workers = 32;
+  config.jobs = 32;
+  EXPECT_NO_THROW(prepare_campaign(config));
+
+  // A one-seed in-process run starts at most one thread even with the bound
+  // broken, so it can safely show the refusal reaching campaign::run.
+  try {
+    run(blinker_config(1, 1, kMax));
+    ADD_FAILURE() << "a campaign with jobs = " << kMax << " ran";
+  } catch (const ParallelismError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "campaign: jobs 4294967295 exceeds the limit of 1024");
+  }
 }
 
 TEST(CampaignTest, JobsLargerThanSeedRangeIsClamped) {

@@ -364,6 +364,15 @@ TEST(DistWireTest, EveryMonitorModeRoundTrips) {
   EXPECT_THROW(config_from_json(Json::parse(json)), WireError);
 }
 
+TEST(DistWireTest, CountPastItsFieldTypeIsRefusedNotTruncated) {
+  std::string json = config_to_json(campaign::CampaignConfig{});
+  const std::size_t at = json.find("\"jobs\":1,");
+  ASSERT_NE(at, std::string::npos);
+  // 2^32 + 1 would truncate to jobs = 1.
+  json.replace(at, std::string("\"jobs\":1").size(), "\"jobs\":4294967297");
+  EXPECT_THROW(config_from_json(Json::parse(json)), WireError);
+}
+
 TEST(DistWireTest, RetiredAutomatonModeIsRejectedByName) {
   // The handshake config a worker decodes and the submit config esv-serve
   // decodes both go through config_from_json: an "automaton" config from an

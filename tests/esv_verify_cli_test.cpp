@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #ifndef ESV_VERIFY_BIN
 #error "ESV_VERIFY_BIN must be defined by the build"
@@ -399,6 +400,48 @@ TEST(EsvVerifyCliTest, EveryCampaignOnlyFlagIsRejectedOutsideCampaignMode) {
         << flag << "\n"
         << r.output;
   }
+}
+
+// Numeric values are strict: a sign, whitespace, a base prefix, or an
+// overflow of the flag's type is refused with the flag's own message instead
+// of being misread (wrapped to 0, or read as hex or infinity).
+TEST(EsvVerifyCliTest, MisreadNumbersExitTwoWithTheFlagsMessage) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--jobs=4294967296", "--jobs must be a positive integer"},
+      {"--seed-retries=4294967296", "--seed-retries must be an integer"},
+      {"--seed-timeout=0x10",
+       "--seed-timeout must be a non-negative number of seconds"},
+      {"--seed-timeout= 1",
+       "--seed-timeout must be a non-negative number of seconds"},
+      {"--campaign-timeout=-0",
+       "--campaign-timeout must be a non-negative number of seconds"},
+      {"--campaign-timeout=inf",
+       "--campaign-timeout must be a non-negative number of seconds"},
+  };
+  for (const auto& [flag, message] : cases) {
+    const RunResult r =
+        run_cli(sample_args() + " --campaign=1..2 --quiet \"" + flag + "\"");
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos)
+        << flag << "\n" << r.output;
+  }
+}
+
+// jobs, workers and workers x jobs are bounded before any thread or worker
+// process starts.
+TEST(EsvVerifyCliTest, ParallelismPastTheBoundExitsTwo) {
+  const RunResult jobs =
+      run_cli(sample_args() + " --campaign=1..2 --jobs=1025 --quiet");
+  EXPECT_EQ(jobs.exit_code, 2) << jobs.output;
+  EXPECT_NE(jobs.output.find("jobs 1025 exceeds the limit of 1024"),
+            std::string::npos)
+      << jobs.output;
+  const RunResult product = run_cli(
+      sample_args() + " --campaign=1..2 --workers=2 --jobs=513 --quiet");
+  EXPECT_EQ(product.exit_code, 2) << product.output;
+  EXPECT_NE(product.output.find("workers x jobs 2 x 513 exceeds the limit"),
+            std::string::npos)
+      << product.output;
 }
 
 TEST(EsvVerifyCliTest, CampaignTraceDirWritesPerSeedTraces) {

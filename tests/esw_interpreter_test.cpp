@@ -6,6 +6,7 @@
 #include "esw/interpreter.hpp"
 #include "flash/flash_controller.hpp"
 #include "minic/sema.hpp"
+#include "sctc/checker.hpp"
 
 namespace esv::esw {
 namespace {

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/wire.hpp"
@@ -353,6 +354,59 @@ TEST(ServeCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(dead_fast.exit_code, 3) << dead_fast.output;
   EXPECT_NE(dead_fast.output.find("cannot connect"), std::string::npos)
       << dead_fast.output;
+}
+
+// Numeric values are strict. Each of these was misread before (read as a
+// prefix, wrapped, or taken with its sign) and must now fail at parse time
+// with the flag's own message. The daemon runs under `timeout` so a build
+// that accepts the value cannot hang the test.
+TEST(ServeCliTest, MisreadNumbersExitTwoWithTheFlagsMessage) {
+  const std::string socket = "--socket=" + temp_path("misread.sock");
+  const std::vector<std::pair<std::string, std::string>> serve_cases = {
+      {"--concurrency=4x", "--concurrency must be a positive integer"},
+      {"--queue-limit=8x", "--queue-limit must be a positive integer"},
+      {"--journal-max-bytes=0x10",
+       "--journal-max-bytes must be a non-negative integer"},
+      {"\"--cache-max-entries= 5\"",
+       "--cache-max-entries must be a non-negative integer"},
+      {"--tenant-max-queued=2x",
+       "--tenant-max-queued must be a non-negative integer"},
+      {"--tenant-max-inflight=-0",
+       "--tenant-max-inflight must be a non-negative integer"},
+      {"--max-request-bytes=1.5",
+       "--max-request-bytes must be a non-negative integer"},
+      {"--write-timeout-ms=+100",
+       "--write-timeout-ms must be a positive integer"},
+      {"--idle-timeout-ms=5ms",
+       "--idle-timeout-ms must be a non-negative integer"},
+      {"\"--chaos=serve.rx delay 1 nth 1000\" --chaos-seed=-1",
+       "--chaos-seed must be an integer"},
+  };
+  for (const auto& [args, message] : serve_cases) {
+    const RunResult result = run_command("timeout 5 " +
+                                         std::string(ESV_SERVE_BIN) + " " +
+                                         socket + " --quiet " + args);
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find(message), std::string::npos)
+        << args << "\n" << result.output;
+  }
+
+  const std::string client = "--socket=" + temp_path("no_daemon.sock") +
+                             " --no-retry ";
+  const std::vector<std::pair<std::string, std::string>> client_cases = {
+      {"--jobs=-1 submit a.c b.esv", "--jobs must be an integer"},
+      {"--workers=-1 submit a.c b.esv", "--workers must be an integer"},
+      {"--max-steps=1x submit a.c b.esv", "--max-steps must be an integer"},
+      {"--retry-budget=2x status", "--retry-budget must be a positive integer"},
+      {"cancel 7x", "cancel expects a numeric job id"},
+      {"cancel -1", "cancel expects a numeric job id"},
+  };
+  for (const auto& [args, message] : client_cases) {
+    const RunResult result = run_client(client + args);
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find(message), std::string::npos)
+        << args << "\n" << result.output;
+  }
 }
 
 // --- disk-budget governance drills ---------------------------------------

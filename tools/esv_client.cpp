@@ -25,6 +25,12 @@
 //   --retry-budget=N     connect attempts before giving up (default 8)
 //   --no-retry           fail on the first refused connection (exit 3)
 //
+// Numeric values, and cancel's JOB, are strict (src/common/flags.hpp):
+// digits only, so a sign, whitespace, trailing bytes, an empty value or an
+// overflow is refused with the flag's message rather than misread. The
+// daemon refuses jobs, workers or workers x jobs above 1024 as a setup
+// error.
+//
 // Exit codes: the server-reported job exit code (0 clean, 1 violation or
 // errored seeds, 2 job setup error, 3 deadline) for submit; 0 for
 // status/cancel/shutdown; 2 usage errors; 3 connection/protocol failures;
@@ -39,10 +45,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/flags.hpp"
 #include "dist/broker.hpp"
 #include "dist/wire.hpp"
 #include "serve/protocol.hpp"
@@ -64,93 +73,34 @@ struct Options {
   bool no_retry = false;
 };
 
-bool parse_range(const std::string& text, std::uint64_t& lo,
-                 std::uint64_t& hi) {
-  const std::size_t dots = text.find("..");
-  if (dots == std::string::npos) return false;
-  try {
-    lo = std::stoull(text.substr(0, dots));
-    hi = std::stoull(text.substr(dots + 2));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return lo >= 1 && hi >= lo;
-}
-
 bool parse_args(int argc, char** argv, Options& options, std::string& error) {
+  esv::campaign::CampaignConfig& config = options.config;
+  esv::common::FlagTable flags(
+      [](const std::string& arg) { return "unknown argument: " + arg; });
+  flags.text("--socket", options.socket_path).required();
+  flags.range("--campaign", config.seed_lo, config.seed_hi,
+              "--campaign expects LO..HI with 1 <= LO <= HI", /*min_lo=*/1);
+  flags.text("--tenant", options.tenant);
+  flags.number("--jobs", config.jobs, "--jobs must be an integer");
+  flags.number("--workers", config.workers, "--workers must be an integer");
+  flags.number("--max-steps", config.max_steps,
+               "--max-steps must be an integer");
+  flags.choice<int>(
+      "--approach", config.approach,
+      [](std::string_view value) -> std::optional<int> {
+        if (value == "1" || value == "2") return value == "1" ? 1 : 2;
+        return std::nullopt;
+      },
+      "--approach must be 1 or 2");
+  flags.text("--report", options.report_path);
+  flags.number("--retry-budget", options.retry_budget,
+               "--retry-budget must be a positive integer", 1);
+  flags.toggle("--no-retry", options.no_retry);
+  flags.toggle("--no-wait", options.no_wait);
+  flags.toggle("--quiet", options.quiet);
+
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    const auto value_of = [&arg, &value](const char* prefix) {
-      const std::size_t length = std::string(prefix).size();
-      if (arg.rfind(prefix, 0) != 0) return false;
-      value = arg.substr(length);
-      return true;
-    };
-    if (value_of("--socket=")) {
-      options.socket_path = value;
-    } else if (value_of("--campaign=")) {
-      if (!parse_range(value, options.config.seed_lo,
-                       options.config.seed_hi)) {
-        error = "--campaign expects LO..HI with 1 <= LO <= HI";
-        return false;
-      }
-    } else if (value_of("--tenant=")) {
-      options.tenant = value;
-    } else if (value_of("--jobs=")) {
-      try {
-        options.config.jobs = static_cast<unsigned>(std::stoul(value));
-      } catch (const std::exception&) {
-        error = "--jobs must be an integer";
-        return false;
-      }
-    } else if (value_of("--workers=")) {
-      try {
-        options.config.workers = static_cast<unsigned>(std::stoul(value));
-      } catch (const std::exception&) {
-        error = "--workers must be an integer";
-        return false;
-      }
-    } else if (value_of("--max-steps=")) {
-      try {
-        options.config.max_steps = std::stoull(value);
-      } catch (const std::exception&) {
-        error = "--max-steps must be an integer";
-        return false;
-      }
-    } else if (value_of("--approach=")) {
-      if (value != "1" && value != "2") {
-        error = "--approach must be 1 or 2";
-        return false;
-      }
-      options.config.approach = value == "1" ? 1 : 2;
-    } else if (value_of("--report=")) {
-      options.report_path = value;
-    } else if (value_of("--retry-budget=")) {
-      try {
-        const long number = std::stol(value);
-        if (number < 1) throw std::invalid_argument("range");
-        options.retry_budget = static_cast<unsigned>(number);
-      } catch (const std::exception&) {
-        error = "--retry-budget must be a positive integer";
-        return false;
-      }
-    } else if (arg == "--no-retry") {
-      options.no_retry = true;
-    } else if (arg == "--no-wait") {
-      options.no_wait = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      error = "unknown argument: " + arg;
-      return false;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (options.socket_path.empty()) {
-    error = "--socket is required";
+  if (!flags.parse(argc, argv, &positional, error) || !flags.check(error)) {
     return false;
   }
   if (positional.empty()) {
@@ -170,12 +120,13 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
       error = "cancel expects a job id";
       return false;
     }
-    try {
-      options.cancel_job = std::stoull(positional[1]);
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> job =
+        esv::common::parse_u64(positional[1]);
+    if (!job) {
       error = "cancel expects a numeric job id";
       return false;
     }
+    options.cancel_job = *job;
   } else if (options.command == "status" || options.command == "shutdown") {
     if (positional.size() != 1) {
       error = options.command + " takes no positional arguments";
@@ -185,15 +136,6 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
     error = "unknown command: " + options.command;
     return false;
   }
-  return true;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
   return true;
 }
 
@@ -310,13 +252,15 @@ int main(int argc, char** argv) {
   }
 
   if (options.command == "submit") {
-    if (!read_file(options.program_path, options.config.program_source)) {
-      std::cerr << "esv-client: cannot read " << options.program_path << "\n";
-      return 2;
-    }
-    if (!read_file(options.spec_path, options.config.spec_text)) {
-      std::cerr << "esv-client: cannot read " << options.spec_path << "\n";
-      return 2;
+    for (const auto& [path, text] :
+         {std::pair{&options.program_path, &options.config.program_source},
+          std::pair{&options.spec_path, &options.config.spec_text}}) {
+      std::optional<std::string> read = esv::common::read_file(*path);
+      if (!read) {
+        std::cerr << "esv-client: cannot read " << *path << "\n";
+        return 2;
+      }
+      *text = std::move(*read);
     }
   }
 

@@ -16,6 +16,10 @@
 // 1 disagreements found (or a --reproduce drifted), 2 usage error,
 // 3 internal error.
 //
+// Numeric values are strict (src/common/flags.hpp): digits only, so a sign,
+// whitespace, trailing bytes, an empty value or an overflow is refused
+// (exit 2) rather than misread.
+//
 // --corrupt-seed=K is a test hook: it plants a compiled-monitor corruption
 // for seed K, so the detect → shrink → reproduce pipeline can be exercised
 // end to end (docs/FUZZING.md).
@@ -26,11 +30,13 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/strings.hpp"
 #include "gen/differential.hpp"
 #include "gen/generator.hpp"
@@ -41,12 +47,12 @@ namespace {
 struct Options {
   std::uint64_t seed_lo = 0;
   std::uint64_t seed_hi = 99;  // inclusive
-  int jobs = 1;
+  unsigned jobs = 1;
   std::string repro_dir;
   std::string reproduce_dir;
-  std::int64_t corrupt_seed = -1;  // plant a corruption for this seed
-  int corrupt_property = 0;        // which property the hook corrupts
-  bool run_approach1 = true;
+  std::optional<std::uint64_t> corrupt_seed;  // plant a corruption here
+  int corrupt_property = 0;  // which property the hook corrupts
+  bool no_approach1 = false;
   bool quiet = false;
 };
 
@@ -74,31 +80,6 @@ int usage(const std::string& error = "") {
   return error.empty() ? 0 : 2;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-bool parse_seed_range(const std::string& text, Options& options) {
-  const std::size_t dots = text.find("..");
-  if (dots == std::string::npos) {
-    std::uint64_t count = 0;
-    if (!parse_u64(text, count) || count == 0) return false;
-    options.seed_lo = 0;
-    options.seed_hi = count - 1;
-    return true;
-  }
-  return parse_u64(text.substr(0, dots), options.seed_lo) &&
-         parse_u64(text.substr(dots + 2), options.seed_hi) &&
-         options.seed_hi >= options.seed_lo;
-}
-
 std::size_t line_count(const std::string& text) {
   return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
 }
@@ -110,19 +91,17 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
 }
 
 std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  if (std::optional<std::string> text = esv::common::read_file(path)) {
+    return *text;
+  }
+  throw std::runtime_error("cannot read " + path.string());
 }
 
 esv::gen::DifferentialOptions differential_options(const Options& options,
                                                    std::uint64_t seed) {
   esv::gen::DifferentialOptions diff;
-  diff.run_approach1 = options.run_approach1;
-  if (options.corrupt_seed >= 0 &&
-      seed == static_cast<std::uint64_t>(options.corrupt_seed)) {
+  diff.run_approach1 = !options.no_approach1;
+  if (options.corrupt_seed == seed) {
     diff.corrupt_property = options.corrupt_property;
   }
   return diff;
@@ -207,11 +186,13 @@ int reproduce(const Options& options) {
   json_field(json, "corrupt_property", corrupt_text);
   json_field(json, "approach1", approach1_text);
 
-  std::uint64_t seed = 0;
-  if (!parse_u64(seed_text, seed)) {
+  const std::optional<std::uint64_t> parsed_seed =
+      esv::common::parse_u64(seed_text);
+  if (!parsed_seed) {
     std::cerr << "esv-fuzz: bad seed '" << seed_text << "' in repro.json\n";
     return 2;
   }
+  const std::uint64_t seed = *parsed_seed;
 
   const esv::gen::Generator generator;
   if (generator.config().digest() != config_text) {
@@ -225,12 +206,13 @@ int reproduce(const Options& options) {
   esv::gen::DifferentialOptions diff;
   diff.run_approach1 = approach1_text != "false";
   if (!corrupt_text.empty() && corrupt_text != "-1") {
-    std::uint64_t corrupt = 0;
-    if (!parse_u64(corrupt_text, corrupt)) {
+    const std::optional<std::uint64_t> corrupt =
+        esv::common::parse_u64(corrupt_text);
+    if (!corrupt) {
       std::cerr << "esv-fuzz: bad corrupt_property in repro.json\n";
       return 2;
     }
-    diff.corrupt_property = static_cast<int>(corrupt);
+    diff.corrupt_property = static_cast<int>(*corrupt);
   }
 
   const esv::gen::GeneratedProgram program = generator.generate(seed);
@@ -263,35 +245,30 @@ int reproduce(const Options& options) {
 
 int main(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg == "--help" || arg == "-h") return usage();
-    if (arg.rfind("--seeds=", 0) == 0) {
-      if (!parse_seed_range(value("--seeds="), options)) {
-        return usage("bad --seeds value '" + value("--seeds=") + "'");
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = std::max(1, std::atoi(value("--jobs=").c_str()));
-    } else if (arg.rfind("--repro-dir=", 0) == 0) {
-      options.repro_dir = value("--repro-dir=");
-    } else if (arg.rfind("--reproduce=", 0) == 0) {
-      options.reproduce_dir = value("--reproduce=");
-    } else if (arg.rfind("--corrupt-seed=", 0) == 0) {
-      options.corrupt_seed = std::atoll(value("--corrupt-seed=").c_str());
-    } else if (arg.rfind("--corrupt-property=", 0) == 0) {
-      options.corrupt_property =
-          std::atoi(value("--corrupt-property=").c_str());
-    } else if (arg == "--no-approach1") {
-      options.run_approach1 = false;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      return usage("unknown option '" + arg + "'");
-    }
+  std::uint64_t corrupt_seed = 0;
+  esv::common::FlagTable flags(
+      [](const std::string& arg) { return "unknown option '" + arg + "'"; });
+  flags.range("--seeds", options.seed_lo, options.seed_hi, "", /*min_lo=*/0,
+              /*bare_count=*/true);
+  flags.number("--jobs", options.jobs, "");
+  flags.text("--repro-dir", options.repro_dir);
+  flags.text("--reproduce", options.reproduce_dir);
+  flags.number("--corrupt-seed", corrupt_seed, "");
+  flags.number("--corrupt-property", options.corrupt_property, "");
+  flags.toggle("--no-approach1", options.no_approach1);
+  flags.toggle("--quiet", options.quiet);
+
+  // --help answers before anything after it is read.
+  int read = 1;
+  while (read < argc && std::string_view(argv[read]) != "--help" &&
+         std::string_view(argv[read]) != "-h") {
+    ++read;
   }
+  std::string error;
+  if (!flags.parse(read, argv, nullptr, error)) return usage(error);
+  if (read < argc) return usage();
+  options.jobs = std::max(1u, options.jobs);
+  if (flags.given("--corrupt-seed")) options.corrupt_seed = corrupt_seed;
 
   try {
     if (!options.reproduce_dir.empty()) return reproduce(options);
@@ -326,11 +303,9 @@ int main(int argc, char** argv) {
       }
     };
 
-    const int jobs = static_cast<int>(
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(options.jobs),
-                                total));
+    const std::uint64_t jobs = std::min<std::uint64_t>(options.jobs, total);
     std::vector<std::thread> threads;
-    for (int i = 1; i < jobs; ++i) threads.emplace_back(worker);
+    for (std::uint64_t i = 1; i < jobs; ++i) threads.emplace_back(worker);
     worker();
     for (std::thread& t : threads) t.join();
 

@@ -34,19 +34,22 @@
 //   --chaos-seed=N       salt for the chaos schedule (default 1)
 //   --quiet              suppress the startup/shutdown banner
 //
+// Numeric values are strict (src/common/flags.hpp): digits only, so a sign,
+// whitespace, trailing bytes, an empty value or an overflow is refused with
+// the flag's message rather than misread.
+//
 // SIGINT/SIGTERM stop the daemon gracefully: running jobs are cancelled
 // cooperatively and stay pending in the journal for the next start.
 //
 // Exit codes: 0 clean shutdown, 2 usage/config error, 3 runtime failure.
 #include <csignal>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "chaos/chaos.hpp"
+#include "common/flags.hpp"
 #include "journal/journal.hpp"
 #include "serve/server.hpp"
 
@@ -62,160 +65,46 @@ struct Options {
   esv::serve::ServerOptions server;
   std::string chaos_spec;
   std::uint64_t chaos_seed = 1;
-  bool chaos_seed_given = false;
   bool quiet = false;
 };
 
 bool parse_args(int argc, char** argv, Options& options, std::string& error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    const auto value_of = [&arg, &value](const char* prefix) {
-      const std::size_t length = std::string(prefix).size();
-      if (arg.rfind(prefix, 0) != 0) return false;
-      value = arg.substr(length);
-      return true;
-    };
-    if (value_of("--socket=")) {
-      options.server.socket_path = value;
-    } else if (value_of("--journal=")) {
-      options.server.journal_path = value;
-    } else if (value_of("--journal-sync=")) {
-      if (value == "record") {
-        options.server.journal_sync = esv::journal::SyncPolicy::kRecord;
-      } else if (value == "batch") {
-        options.server.journal_sync = esv::journal::SyncPolicy::kBatch;
-      } else if (value == "none") {
-        options.server.journal_sync = esv::journal::SyncPolicy::kNone;
-      } else {
-        error = "--journal-sync must be record, batch, or none";
-        return false;
-      }
-    } else if (value_of("--concurrency=")) {
-      try {
-        const long number = std::stol(value);
-        if (number < 1) throw std::invalid_argument("range");
-        options.server.concurrency = static_cast<unsigned>(number);
-      } catch (const std::exception&) {
-        error = "--concurrency must be a positive integer";
-        return false;
-      }
-    } else if (value_of("--queue-limit=")) {
-      try {
-        const long number = std::stol(value);
-        if (number < 1) throw std::invalid_argument("range");
-        options.server.queue_limit = static_cast<std::size_t>(number);
-      } catch (const std::exception&) {
-        error = "--queue-limit must be a positive integer";
-        return false;
-      }
-    } else if (value_of("--journal-max-bytes=")) {
-      try {
-        const long long number = std::stoll(value);
-        if (number < 0) throw std::invalid_argument("range");
-        options.server.journal_max_bytes =
-            static_cast<std::uint64_t>(number);
-      } catch (const std::exception&) {
-        error = "--journal-max-bytes must be a non-negative integer";
-        return false;
-      }
-    } else if (value_of("--cache-max-entries=")) {
-      try {
-        const long long number = std::stoll(value);
-        if (number < 0) throw std::invalid_argument("range");
-        options.server.cache_max_entries =
-            static_cast<std::size_t>(number);
-      } catch (const std::exception&) {
-        error = "--cache-max-entries must be a non-negative integer";
-        return false;
-      }
-    } else if (value_of("--tenant-max-queued=")) {
-      try {
-        const long long number = std::stoll(value);
-        if (number < 0) throw std::invalid_argument("range");
-        options.server.tenant_max_queued =
-            static_cast<std::size_t>(number);
-      } catch (const std::exception&) {
-        error = "--tenant-max-queued must be a non-negative integer";
-        return false;
-      }
-    } else if (value_of("--tenant-max-inflight=")) {
-      try {
-        const long long number = std::stoll(value);
-        if (number < 0) throw std::invalid_argument("range");
-        options.server.tenant_max_inflight =
-            static_cast<std::size_t>(number);
-      } catch (const std::exception&) {
-        error = "--tenant-max-inflight must be a non-negative integer";
-        return false;
-      }
-    } else if (value_of("--max-request-bytes=")) {
-      try {
-        const long long number = std::stoll(value);
-        if (number < 0 || number > 0xFFFFFFFFLL) {
-          throw std::invalid_argument("range");
-        }
-        options.server.max_request_bytes =
-            static_cast<std::uint32_t>(number);
-      } catch (const std::exception&) {
-        error = "--max-request-bytes must be a non-negative integer";
-        return false;
-      }
-    } else if (value_of("--write-timeout-ms=")) {
-      try {
-        const long long number = std::stoll(value);
-        if (number < 1) throw std::invalid_argument("range");
-        options.server.write_timeout_ms =
-            static_cast<std::uint64_t>(number);
-      } catch (const std::exception&) {
-        error = "--write-timeout-ms must be a positive integer";
-        return false;
-      }
-    } else if (value_of("--idle-timeout-ms=")) {
-      try {
-        const long long number = std::stoll(value);
-        if (number < 0) throw std::invalid_argument("range");
-        options.server.idle_timeout_ms =
-            static_cast<std::uint64_t>(number);
-      } catch (const std::exception&) {
-        error = "--idle-timeout-ms must be a non-negative integer";
-        return false;
-      }
-    } else if (value_of("--chaos=")) {
-      if (value.empty()) {
-        error = "--chaos expects a plan file or inline directives";
-        return false;
-      }
-      options.chaos_spec = value;
-    } else if (value_of("--chaos-seed=")) {
-      try {
-        options.chaos_seed = std::stoull(value);
-      } catch (const std::exception&) {
-        error = "--chaos-seed must be an integer";
-        return false;
-      }
-      options.chaos_seed_given = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      error = "unknown argument: " + arg;
-      return false;
-    }
-  }
-  if (options.server.socket_path.empty()) {
-    error = "--socket is required";
-    return false;
-  }
-  if (options.chaos_spec.empty() && options.chaos_seed_given) {
-    error = "--chaos-seed requires --chaos";
-    return false;
-  }
-  if (options.server.journal_max_bytes != 0 &&
-      options.server.journal_path.empty()) {
-    error = "--journal-max-bytes requires --journal";
-    return false;
-  }
-  return true;
+  esv::serve::ServerOptions& server = options.server;
+  esv::common::FlagTable flags(
+      [](const std::string& arg) { return "unknown argument: " + arg; });
+  // Entries with rules come first, in the order their rules are checked.
+  flags.text("--socket", server.socket_path).required();
+  flags.text("--chaos", options.chaos_spec,
+             "--chaos expects a plan file or inline directives");
+  flags.number("--chaos-seed", options.chaos_seed,
+               "--chaos-seed must be an integer")
+      .needs("--chaos");
+  flags.number("--journal-max-bytes", server.journal_max_bytes,
+               "--journal-max-bytes must be a non-negative integer")
+      .zero_means_off()
+      .needs("--journal");
+  flags.text("--journal", server.journal_path);
+  flags.choice("--journal-sync", server.journal_sync,
+               esv::journal::parse_sync_policy,
+               "--journal-sync must be record, batch, or none");
+  flags.number("--concurrency", server.concurrency,
+               "--concurrency must be a positive integer", 1);
+  flags.number("--queue-limit", server.queue_limit,
+               "--queue-limit must be a positive integer", 1);
+  flags.number("--cache-max-entries", server.cache_max_entries,
+               "--cache-max-entries must be a non-negative integer");
+  flags.number("--tenant-max-queued", server.tenant_max_queued,
+               "--tenant-max-queued must be a non-negative integer");
+  flags.number("--tenant-max-inflight", server.tenant_max_inflight,
+               "--tenant-max-inflight must be a non-negative integer");
+  flags.number("--max-request-bytes", server.max_request_bytes,
+               "--max-request-bytes must be a non-negative integer");
+  flags.number("--write-timeout-ms", server.write_timeout_ms,
+               "--write-timeout-ms must be a positive integer", 1);
+  flags.number("--idle-timeout-ms", server.idle_timeout_ms,
+               "--idle-timeout-ms must be a non-negative integer");
+  flags.toggle("--quiet", options.quiet);
+  return flags.parse(argc, argv, nullptr, error) && flags.check(error);
 }
 
 }  // namespace
@@ -239,17 +128,9 @@ int main(int argc, char** argv) {
   // inline (same convention as esv-verify).
   std::unique_ptr<esv::chaos::ChaosEngine> chaos_engine;
   if (!options.chaos_spec.empty()) {
-    std::string chaos_text;
-    std::ifstream chaos_in(options.chaos_spec);
-    if (chaos_in) {
-      std::ostringstream buffer;
-      buffer << chaos_in.rdbuf();
-      chaos_text = buffer.str();
-    } else {
-      chaos_text = options.chaos_spec;
-    }
     try {
-      esv::chaos::ChaosPlan plan = esv::chaos::parse_plan(chaos_text);
+      esv::chaos::ChaosPlan plan = esv::chaos::parse_plan(
+          esv::common::file_or_inline(options.chaos_spec));
       chaos_engine = std::make_unique<esv::chaos::ChaosEngine>(
           std::move(plan), options.chaos_seed, esv::chaos::Role::kBroker);
       esv::chaos::ChaosEngine::install(chaos_engine.get());

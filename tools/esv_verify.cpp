@@ -57,15 +57,18 @@
 //   In campaign mode --metrics writes the merged per-seed metrics (byte-
 //   identical for any --jobs and --workers); --vcd and --trace are
 //   single-run only, --workers/--trace-dir/--journal/--chaos campaign-only.
+//   --jobs, --workers and workers x jobs are bounded by 1024.
+//
+// Numeric values are strict (src/common/flags.hpp): digits only, so a sign,
+// whitespace, trailing bytes, an empty value or an overflow is refused with
+// the flag's message rather than misread.
 //
 // Exit code: 0 when no property is violated, 1 on violation (in campaign
 // mode: any violated or errored seed), 2 on usage or input errors, 3 when
 // the verification run itself fails at runtime (simulation or interpreter
 // error escaping the configured run) or a --campaign-timeout deadline
 // aborts the campaign.
-#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -79,6 +82,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/seed_runner.hpp"
 #include "chaos/chaos.hpp"
+#include "common/flags.hpp"
 #include "dist/broker.hpp"
 #include "journal/journal.hpp"
 #include "obs/metrics.hpp"
@@ -93,315 +97,136 @@ namespace sctc = esv::sctc;
 struct Options {
   std::string program_path;
   std::string spec_path;
-  int approach = 2;
-  std::uint64_t max_steps = 1'000'000;
+  /// Filled by the flags that map onto it; the single run overrides the
+  /// seed range with --seed.
+  campaign::CampaignConfig config;
+  bool campaign = false;  // --campaign was given
   std::uint64_t seed = 1;
-  sctc::MonitorMode mode = sctc::MonitorMode::kProgression;
   std::string vcd_path;
-  std::size_t witness = 0;
   bool quiet = false;
   std::string faults_path;
   std::string metrics_path;
   std::string trace_path;
-  // Campaign mode.
-  std::optional<std::pair<std::uint64_t, std::uint64_t>> campaign;
-  unsigned jobs = 1;
-  bool jobs_given = false;
-  unsigned workers = 0;  // 0 = in-process campaign
   std::string report_path;
   bool report_timing = true;
-  bool report_timing_given = false;
-  std::string trace_dir;
-  double seed_timeout = 0.0;
-  bool seed_timeout_given = false;
-  unsigned seed_retries = 0;
-  bool seed_retries_given = false;
-  std::uint64_t seed_mem_limit = 0;  // MiB, 0 = off
   std::string journal_path;
   journal::SyncPolicy journal_sync = journal::SyncPolicy::kBatch;
-  bool journal_sync_given = false;
   bool resume = false;
-  double campaign_timeout = 0.0;
   std::string chaos_spec;  // file path or inline plan text
   std::uint64_t chaos_seed = 1;
-  bool chaos_seed_given = false;
 };
 
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  const auto result =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return result.ec == std::errc{} && result.ptr == text.data() + text.size();
-}
-
-// A retired mode name is answered with the retirement notice, anything else
-// with the flag's usage line.
-std::string mode_error(const char* flag, const std::string& value,
-                       const char* usage) {
-  const std::string retired = sctc::retired_monitor_mode_message(value);
-  return retired.empty() ? usage : flag + (": " + retired);
-}
-
 bool parse_args(int argc, char** argv, Options& options, std::string& error) {
+  campaign::CampaignConfig& config = options.config;
+  common::FlagTable flags(
+      [](const std::string& arg) { return "unknown option " + arg; });
+  // Entries with rules come first, in the order their rules are checked.
+  // Campaign-only flags refuse a single run by name, so a mistaken
+  // invocation fails loudly (exit 2) instead of ignoring the flag.
+  flags.text("--vcd", options.vcd_path)
+      .rule("--campaign", false, "--vcd is not available in campaign mode");
+  flags.text("--trace", options.trace_path)
+      .rule("--campaign", false, "--trace is not available in campaign mode");
+  flags.text("--trace-dir", config.trace_dir).campaign_only();
+  flags.number("--jobs", config.jobs, "--jobs must be a positive integer", 1)
+      .campaign_only();
+  flags.text("--report", options.report_path).campaign_only();
+  flags
+      .choice<bool>(
+          "--report-timing", options.report_timing,
+          [](std::string_view value) -> std::optional<bool> {
+            if (value == "on" || value == "off") return value == "on";
+            return std::nullopt;
+          },
+          "--report-timing must be on or off")
+      .campaign_only();
+  flags.seconds("--seed-timeout", config.seed_timeout_seconds,
+                "--seed-timeout must be a non-negative number of seconds")
+      .campaign_only();
+  flags.number("--seed-retries", config.seed_retries,
+               "--seed-retries must be an integer")
+      .campaign_only();
+  flags.number("--workers", config.workers,
+               "--workers must be a positive integer", 1)
+      .campaign_only();
+  flags.text("--journal", options.journal_path, "--journal expects a file path")
+      .campaign_only();
+  flags.toggle("--resume", options.resume).needs("--journal");
+  flags.choice("--journal-sync", options.journal_sync,
+               journal::parse_sync_policy,
+               "--journal-sync must be record, batch, or none")
+      .needs("--journal");
+  flags.number("--seed-mem-limit", config.seed_mem_limit_mb,
+               "--seed-mem-limit must be a positive number of MiB", 1)
+      .rule("--workers", true,
+            "--seed-mem-limit requires --workers (the ceiling is enforced "
+            "per worker shard)");
+  flags.seconds("--campaign-timeout", config.campaign_timeout_seconds,
+                "--campaign-timeout must be a non-negative number of seconds")
+      .zero_means_off()
+      .campaign_only();
+  flags.text("--chaos", options.chaos_spec,
+             "--chaos expects a plan file or inline directives")
+      .campaign_only();
+  flags.number("--chaos-seed", options.chaos_seed,
+               "--chaos-seed must be an integer")
+      .needs("--chaos");
+  flags.number("--approach", config.approach, "--approach must be 1 or 2", 1,
+               2);
+  flags.number("--max-steps", config.max_steps,
+               "--max-steps must be an integer");
+  flags.number("--seed", options.seed, "--seed must be an integer");
+  // Both mode flags answer a retired mode name with the retirement notice.
+  const auto mode = [&](const char* flag, auto parse, const char* usage) {
+    flags.add(flag, usage,
+              [&config, flag, parse](
+                  std::string_view value,
+                  std::string& error) -> std::optional<bool> {
+                if (const std::optional<sctc::MonitorMode> parsed =
+                        parse(value)) {
+                  config.mode = *parsed;
+                  return true;
+                }
+                const std::string retired =
+                    sctc::retired_monitor_mode_message(value);
+                if (!retired.empty()) error = flag + (": " + retired);
+                return std::nullopt;
+              });
+  };
+  mode(
+      "--mode",
+      [](std::string_view value) -> std::optional<sctc::MonitorMode> {
+        if (value == "progression") return sctc::MonitorMode::kProgression;
+        return std::nullopt;
+      },
+      "--mode must be progression");
+  mode("--monitor-mode", sctc::parse_monitor_mode,
+       "--monitor-mode must be interpreted (progression), compiled, or both");
+  flags.range("--campaign", config.seed_lo, config.seed_hi,
+              "--campaign expects a seed range LO..HI", 0, false,
+              "--campaign: empty seed range (HI < LO)");
+  flags.text("--faults", options.faults_path);
+  flags.text("--metrics", options.metrics_path);
+  flags.number("--witness", config.witness_depth,
+               "--witness must be an integer");
+  flags.toggle("--quiet", options.quiet);
+
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of = [&](const std::string& prefix,
-                              std::string& out) {
-      if (arg.rfind(prefix, 0) != 0) return false;
-      out = arg.substr(prefix.size());
-      return true;
-    };
-    std::string value;
-    std::uint64_t number = 0;
-    if (value_of("--approach=", value)) {
-      if (!parse_u64(value, number) || (number != 1 && number != 2)) {
-        error = "--approach must be 1 or 2";
-        return false;
-      }
-      options.approach = static_cast<int>(number);
-    } else if (value_of("--max-steps=", value)) {
-      if (!parse_u64(value, number)) {
-        error = "--max-steps must be an integer";
-        return false;
-      }
-      options.max_steps = number;
-    } else if (value_of("--seed=", value)) {
-      if (!parse_u64(value, number)) {
-        error = "--seed must be an integer";
-        return false;
-      }
-      options.seed = number;
-    } else if (value_of("--mode=", value)) {
-      if (value != "progression") {
-        error = mode_error("--mode", value, "--mode must be progression");
-        return false;
-      }
-      options.mode = sctc::MonitorMode::kProgression;
-    } else if (value_of("--monitor-mode=", value)) {
-      if (const auto mode = sctc::parse_monitor_mode(value)) {
-        options.mode = *mode;
-      } else {
-        error = mode_error(
-            "--monitor-mode", value,
-            "--monitor-mode must be interpreted (progression), compiled, or "
-            "both");
-        return false;
-      }
-    } else if (value_of("--campaign=", value)) {
-      const std::size_t dots = value.find("..");
-      std::uint64_t lo = 0;
-      std::uint64_t hi = 0;
-      if (dots == std::string::npos || !parse_u64(value.substr(0, dots), lo) ||
-          !parse_u64(value.substr(dots + 2), hi)) {
-        error = "--campaign expects a seed range LO..HI";
-        return false;
-      }
-      if (hi < lo) {
-        error = "--campaign: empty seed range (HI < LO)";
-        return false;
-      }
-      options.campaign = {lo, hi};
-    } else if (value_of("--jobs=", value)) {
-      std::uint64_t jobs = 0;
-      if (!parse_u64(value, jobs) || jobs == 0) {
-        error = "--jobs must be a positive integer";
-        return false;
-      }
-      options.jobs = static_cast<unsigned>(jobs);
-      options.jobs_given = true;
-    } else if (value_of("--workers=", value)) {
-      std::uint64_t workers = 0;
-      if (!parse_u64(value, workers) || workers == 0) {
-        error = "--workers must be a positive integer";
-        return false;
-      }
-      options.workers = static_cast<unsigned>(workers);
-    } else if (value_of("--trace-dir=", value)) {
-      options.trace_dir = value;
-    } else if (value_of("--report=", value)) {
-      options.report_path = value;
-    } else if (value_of("--report-timing=", value)) {
-      if (value == "on") {
-        options.report_timing = true;
-      } else if (value == "off") {
-        options.report_timing = false;
-      } else {
-        error = "--report-timing must be on or off";
-        return false;
-      }
-      options.report_timing_given = true;
-    } else if (value_of("--journal=", value)) {
-      if (value.empty()) {
-        error = "--journal expects a file path";
-        return false;
-      }
-      options.journal_path = value;
-    } else if (value_of("--journal-sync=", value)) {
-      if (value == "record") {
-        options.journal_sync = journal::SyncPolicy::kRecord;
-      } else if (value == "batch") {
-        options.journal_sync = journal::SyncPolicy::kBatch;
-      } else if (value == "none") {
-        options.journal_sync = journal::SyncPolicy::kNone;
-      } else {
-        error = "--journal-sync must be record, batch, or none";
-        return false;
-      }
-      options.journal_sync_given = true;
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (value_of("--campaign-timeout=", value)) {
-      char* end = nullptr;
-      const double seconds = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() ||
-          !(seconds >= 0.0)) {
-        error = "--campaign-timeout must be a non-negative number of seconds";
-        return false;
-      }
-      options.campaign_timeout = seconds;
-    } else if (value_of("--chaos=", value)) {
-      if (value.empty()) {
-        error = "--chaos expects a plan file or inline directives";
-        return false;
-      }
-      options.chaos_spec = value;
-    } else if (value_of("--chaos-seed=", value)) {
-      if (!parse_u64(value, number)) {
-        error = "--chaos-seed must be an integer";
-        return false;
-      }
-      options.chaos_seed = number;
-      options.chaos_seed_given = true;
-    } else if (value_of("--seed-mem-limit=", value)) {
-      if (!parse_u64(value, number) || number == 0) {
-        error = "--seed-mem-limit must be a positive number of MiB";
-        return false;
-      }
-      options.seed_mem_limit = number;
-    } else if (value_of("--faults=", value)) {
-      options.faults_path = value;
-    } else if (value_of("--seed-timeout=", value)) {
-      char* end = nullptr;
-      const double seconds = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() ||
-          !(seconds >= 0.0)) {
-        error = "--seed-timeout must be a non-negative number of seconds";
-        return false;
-      }
-      options.seed_timeout = seconds;
-      options.seed_timeout_given = true;
-    } else if (value_of("--seed-retries=", value)) {
-      if (!parse_u64(value, number)) {
-        error = "--seed-retries must be an integer";
-        return false;
-      }
-      options.seed_retries = static_cast<unsigned>(number);
-      options.seed_retries_given = true;
-    } else if (value_of("--vcd=", value)) {
-      options.vcd_path = value;
-    } else if (value_of("--metrics=", value)) {
-      options.metrics_path = value;
-    } else if (value_of("--trace=", value)) {
-      options.trace_path = value;
-    } else if (value_of("--witness=", value)) {
-      if (!parse_u64(value, number)) {
-        error = "--witness must be an integer";
-        return false;
-      }
-      options.witness = static_cast<std::size_t>(number);
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      error = "unknown option " + arg;
-      return false;
-    } else {
-      positional.push_back(arg);
-    }
-  }
+  if (!flags.parse(argc, argv, &positional, error)) return false;
   if (positional.size() != 2) {
     error = "usage: esv-verify <program.c> <spec.esv> [options]";
     return false;
   }
-  if (options.campaign && !options.vcd_path.empty()) {
-    error = "--vcd is not available in campaign mode";
-    return false;
-  }
-  if (options.campaign && !options.trace_path.empty()) {
-    error = "--trace is not available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && !options.trace_dir.empty()) {
-    error = "--trace-dir is only available in campaign mode";
-    return false;
-  }
-  // Every campaign-only flag rejects non-campaign use by name, so a typo'd
-  // invocation fails loudly (exit 2) instead of silently ignoring the flag.
-  if (!options.campaign && options.jobs_given) {
-    error = "--jobs is only available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && !options.report_path.empty()) {
-    error = "--report is only available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && options.report_timing_given) {
-    error = "--report-timing is only available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && options.seed_timeout_given) {
-    error = "--seed-timeout is only available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && options.seed_retries_given) {
-    error = "--seed-retries is only available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && options.workers != 0) {
-    error = "--workers is only available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && !options.journal_path.empty()) {
-    error = "--journal is only available in campaign mode";
-    return false;
-  }
-  if (options.journal_path.empty() && options.resume) {
-    error = "--resume requires --journal";
-    return false;
-  }
-  if (options.journal_path.empty() && options.journal_sync_given) {
-    error = "--journal-sync requires --journal";
-    return false;
-  }
-  if (options.seed_mem_limit != 0 && options.workers == 0) {
-    error =
-        "--seed-mem-limit requires --workers (the ceiling is enforced per "
-        "worker shard)";
-    return false;
-  }
-  if (!options.campaign && options.campaign_timeout != 0.0) {
-    error = "--campaign-timeout is only available in campaign mode";
-    return false;
-  }
-  if (!options.campaign && !options.chaos_spec.empty()) {
-    error = "--chaos is only available in campaign mode";
-    return false;
-  }
-  if (options.chaos_spec.empty() && options.chaos_seed_given) {
-    error = "--chaos-seed requires --chaos";
-    return false;
-  }
+  if (!flags.check(error)) return false;
+  options.campaign = flags.given("--campaign");
   options.program_path = positional[0];
   options.spec_path = positional[1];
   return true;
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  if (std::optional<std::string> text = common::read_file(path)) return *text;
+  throw std::runtime_error("cannot open " + path);
 }
 
 // Opens an output file (nothing for an empty path). Sinks are opened before
@@ -426,27 +251,14 @@ int main(int argc, char** argv) {
   }
 
   try {
-    campaign::CampaignConfig config;
+    campaign::CampaignConfig& config = options.config;
     config.program_source = read_file(options.program_path);
     config.spec_text = read_file(options.spec_path);
-    config.approach = options.approach;
-    config.mode = options.mode;
-    config.max_steps = options.max_steps;
-    config.witness_depth = options.witness;
     if (!options.faults_path.empty()) {
       config.fault_plan_text = read_file(options.faults_path);
     }
 
     if (options.campaign) {
-      config.seed_lo = options.campaign->first;
-      config.seed_hi = options.campaign->second;
-      config.jobs = options.jobs;
-      config.seed_timeout_seconds = options.seed_timeout;
-      config.seed_retries = options.seed_retries;
-      config.seed_mem_limit_mb = options.seed_mem_limit;
-      config.campaign_timeout_seconds = options.campaign_timeout;
-      config.trace_dir = options.trace_dir;
-      config.workers = options.workers;
       // --report always carries the metrics block, so a report request is
       // enough to turn collection on.
       config.collect_metrics =
@@ -458,17 +270,10 @@ int main(int argc, char** argv) {
       // before the journal opens so the journal fault points cover the
       // header write too; worker processes get their own engines through the
       // environment the broker forwards.
-      std::string chaos_text;
-      if (!options.chaos_spec.empty()) {
-        std::ifstream chaos_in(options.chaos_spec);
-        if (chaos_in) {
-          std::ostringstream buffer;
-          buffer << chaos_in.rdbuf();
-          chaos_text = buffer.str();
-        } else {
-          chaos_text = options.chaos_spec;
-        }
-      }
+      const std::string chaos_text =
+          options.chaos_spec.empty()
+              ? ""
+              : common::file_or_inline(options.chaos_spec);
       std::unique_ptr<chaos::ChaosEngine> chaos_engine;
       obs::MetricsRegistry chaos_metrics;
       obs::TraceWriter chaos_events;
@@ -548,7 +353,7 @@ int main(int argc, char** argv) {
       broker_options.chaos_plan_text = chaos_text;
       broker_options.chaos_seed = options.chaos_seed;
       campaign::CampaignReport report =
-          options.workers != 0 ? dist::run_distributed(config, broker_options)
+          config.workers != 0 ? dist::run_distributed(config, broker_options)
                                : campaign::run(config);
       if (journal_writer) journal_writer->close();
       if (chaos_engine) {
@@ -691,8 +496,8 @@ int main(int argc, char** argv) {
       }
     }
     std::cout << checker.report();
-    if (checker.any_violated() && options.witness != 0) {
-      std::cout << "witness (last " << options.witness << " steps):\n"
+    if (checker.any_violated() && config.witness_depth != 0) {
+      std::cout << "witness (last " << config.witness_depth << " steps):\n"
                 << checker.witness_table();
     }
     if (checker.divergence_count() != 0) {
