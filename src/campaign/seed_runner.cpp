@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "esw/interpreter.hpp"
 
 namespace esv::campaign {
@@ -92,7 +93,7 @@ SeedStack::SeedStack(const CampaignConfig& config, const CampaignSetup& setup,
                      std::uint64_t seed, obs::MetricsRegistry* metrics,
                      obs::TraceWriter* trace)
     : seed(seed),
-      memory(setup.program->memory_bytes()),
+      memory(setup.program->program.memory_bytes()),
       inputs(seed),
       checker(sim, "sctc", config.mode),
       config_(config),
@@ -233,7 +234,7 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
   // propositions.
   setup.program = std::make_shared<const CompiledProgram>(config);
   const minic::Program& program = setup.program->program;
-  mem::AddressSpace memory(setup.program->memory_bytes());
+  mem::AddressSpace memory(setup.program->program.memory_bytes());
   sim::Simulation sim;
   sctc::TemporalChecker checker(sim, "sctc", config.mode);
   spec::apply_spec(setup.specfile, program, memory, checker);
@@ -262,7 +263,7 @@ SeedRunner::SeedRunner(const CampaignConfig& config,
                        const CampaignSetup& setup)
     : config_(config), setup_(setup) {
   if (const char* env = std::getenv("ESV_CAMPAIGN_TEST_DIVERGE_SEED")) {
-    diverge_seed_ = std::strtoull(env, nullptr, 10);
+    diverge_seed_ = common::parse_u64(env);  // malformed: no seed diverges
   }
 }
 

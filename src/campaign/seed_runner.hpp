@@ -58,12 +58,6 @@ namespace esv::campaign {
 struct CompiledProgram {
   explicit CompiledProgram(const CampaignConfig& config);
 
-  /// Address-space size of every stack built on this program: the data
-  /// segment rounded up to a 4 KiB page.
-  std::uint32_t memory_bytes() const {
-    return (program.data_segment_end() + 0xFFFu) & ~0xFFFu;
-  }
-
   minic::Program program;
   std::optional<esw::EswProgram> lowered;  // approach 2
   std::optional<cpu::CodeImage> image;     // approach 1

@@ -32,7 +32,7 @@ double seconds_since(Clock::time_point start) {
 struct Platform {
   Platform(const OperationSpec& op, const ExperimentConfig& config)
       : program(minic::compile(eeprom_emulation_source())),
-        memory((program.data_segment_end() + 0xFFFu) & ~0xFFFu),
+        memory(program.memory_bytes()),
         flash_dev(eeprom_flash_config()),
         inputs(config.seed),
         coverage(op.return_codes),

@@ -6,6 +6,7 @@
 
 #include "common/digest.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -28,28 +29,14 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   return x;
 }
 
-std::vector<std::string> split_tokens(std::string_view text) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    std::size_t start = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(text.substr(start, i - start));
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(const std::string& token, const char* what,
-                        int line) {
+/// A plan number that fits T; otherwise a ChaosPlanError naming `what`.
+template <typename T>
+T number(const std::string& token, const char* what, int line) {
   if (token.empty()) throw ChaosPlanError(std::string(what) + " missing", line);
-  std::uint64_t value = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') {
-      throw ChaosPlanError("bad " + std::string(what) + " '" + token + "'",
-                           line);
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  T value = 0;
+  if (!common::parse_uint(token, value)) {
+    throw ChaosPlanError("bad " + std::string(what) + " '" + token + "'",
+                         line);
   }
   return value;
 }
@@ -89,7 +76,7 @@ constexpr ActionRule kActionRules[] = {
 };
 
 ChaosSpec parse_directive(std::string_view text, int line) {
-  const std::vector<std::string> tokens = split_tokens(text);
+  const std::vector<std::string> tokens = common::words(text);
   if (tokens.size() < 2) {
     throw ChaosPlanError("expected 'point action ...'", line);
   }
@@ -129,7 +116,7 @@ ChaosSpec parse_directive(std::string_view text, int line) {
       throw ChaosPlanError(
           "action '" + tokens[1] + "' needs a milliseconds operand", line);
     }
-    spec.arg = parse_u64(tokens[i], "milliseconds", line);
+    spec.arg = number<std::uint64_t>(tokens[i], "milliseconds", line);
     ++i;
   }
 
@@ -148,7 +135,7 @@ ChaosSpec parse_directive(std::string_view text, int line) {
                              line);
       }
       selector_seen = true;
-      spec.nth = parse_u64(next_token("hit number"), "nth", line);
+      spec.nth = number<std::uint64_t>(next_token("hit number"), "nth", line);
       if (spec.nth == 0) throw ChaosPlanError("nth is 1-based", line);
     } else if (option == "prob") {
       if (selector_seen) {
@@ -163,15 +150,15 @@ ChaosSpec parse_directive(std::string_view text, int line) {
                              line);
       }
       spec.nth = 0;
-      spec.prob_num = static_cast<std::uint32_t>(
-          parse_u64(frac.substr(0, slash), "probability numerator", line));
-      spec.prob_den = static_cast<std::uint32_t>(
-          parse_u64(frac.substr(slash + 1), "probability denominator", line));
+      spec.prob_num = number<std::uint32_t>(frac.substr(0, slash),
+                                            "probability numerator", line);
+      spec.prob_den = number<std::uint32_t>(frac.substr(slash + 1),
+                                            "probability denominator", line);
       if (spec.prob_den == 0) {
         throw ChaosPlanError("probability denominator must be > 0", line);
       }
     } else if (option == "count") {
-      spec.count = parse_u64(next_token("count"), "count", line);
+      spec.count = number<std::uint64_t>(next_token("count"), "count", line);
     } else if (option == "role") {
       const std::string& role = next_token("role (broker|worker)");
       if (role == "broker") {
@@ -184,8 +171,8 @@ ChaosSpec parse_directive(std::string_view text, int line) {
       }
     } else if (option == "gen") {
       spec.has_generation = true;
-      spec.generation = static_cast<std::uint32_t>(
-          parse_u64(next_token("generation"), "gen", line));
+      spec.generation =
+          number<std::uint32_t>(next_token("generation"), "gen", line);
     } else {
       throw ChaosPlanError("unknown option '" + option + "'", line);
     }
@@ -268,11 +255,9 @@ ChaosPlan parse_plan(std::string_view text) {
     if (const std::size_t hash = piece.find('#'); hash != std::string::npos) {
       piece = piece.substr(0, hash);
     }
-    bool blank = true;
-    for (char c : piece) {
-      if (c != ' ' && c != '\t' && c != '\r') blank = false;
+    if (piece.find_first_not_of(" \t\r") != std::string_view::npos) {
+      plan.entries.push_back(parse_directive(piece, line));
     }
-    if (!blank) plan.entries.push_back(parse_directive(piece, line));
     if (!at_end && text[i] == '\n') ++line;
     start = i + 1;
   }
@@ -382,8 +367,9 @@ ChaosEngine* install_from_env(std::uint32_t worker_id,
   if (plan_text == nullptr || plan_text[0] == '\0') return nullptr;
   const char* seed_text = std::getenv(kSeedEnv);
   std::uint64_t seed = 1;
-  if (seed_text != nullptr && seed_text[0] != '\0') {
-    seed = std::strtoull(seed_text, nullptr, 10);
+  if (seed_text != nullptr && seed_text[0] != '\0' &&
+      !common::parse_uint(seed_text, seed)) {
+    return nullptr;  // refused as a malformed plan is
   }
   ChaosPlan plan;
   try {

@@ -6,15 +6,6 @@
 
 namespace esv::common {
 
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  // from_chars on an unsigned type takes digits only and reports overflow.
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
-  return value;
-}
-
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;

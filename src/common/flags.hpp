@@ -19,10 +19,9 @@
 #include <type_traits>
 #include <vector>
 
-namespace esv::common {
+#include "common/strings.hpp"
 
-/// The one number parser: ASCII digits that fit in 64 bits, nothing else.
-std::optional<std::uint64_t> parse_u64(std::string_view text);
+namespace esv::common {
 
 /// The file's bytes; nullopt when it cannot be read.
 std::optional<std::string> read_file(const std::string& path);

@@ -1,6 +1,7 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 
 namespace esv::common {
 
@@ -25,27 +26,34 @@ std::vector<std::string> split(std::string_view text, char sep) {
   return out;
 }
 
+std::vector<std::string> words(std::string_view line) {
+  std::vector<std::string> out;
+  line = line.substr(0, line.find('#'));
+  std::size_t end = 0;
+  while (end < line.size()) {
+    const std::size_t start = line.find_first_not_of(" \t", end);
+    if (start == std::string_view::npos) break;
+    end = line.find_first_of(" \t", start);  // npos: the last word
+    out.emplace_back(line.substr(start, end - start));
+  }
+  return out;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text, int base) {
+  // from_chars on an unsigned type takes digits only and reports overflow.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
 std::string_view trim(std::string_view text) {
   std::size_t b = 0;
   std::size_t e = text.size();
   while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
   return text.substr(b, e - b);
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-std::string with_thousands(std::uint64_t value) {
-  std::string digits = std::to_string(value);
-  std::string out;
-  const std::size_t n = digits.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i != 0 && (n - i) % 3 == 0) out += ',';
-    out += digits[i];
-  }
-  return out;
 }
 
 void json_escape_into(std::string& out, std::string_view text) {

@@ -257,23 +257,19 @@ bool Json::as_bool() const {
 
 std::uint64_t Json::as_u64() const {
   if (type_ != Type::kNumber) type_error("a number");
-  std::uint64_t out = 0;
-  const auto result =
-      std::from_chars(scalar_.data(), scalar_.data() + scalar_.size(), out);
-  if (result.ec != std::errc{} ||
-      result.ptr != scalar_.data() + scalar_.size()) {
-    type_error("an unsigned integer");
-  }
-  return out;
+  const std::optional<std::uint64_t> value = common::parse_u64(scalar_);
+  if (!value) type_error("an unsigned integer");
+  return *value;
 }
 
 double Json::as_double() const {
   if (type_ != Type::kNumber) type_error("a number");
-  try {
-    return std::stod(scalar_);
-  } catch (const std::exception&) {
-    type_error("a double");
-  }
+  // The whole token or nothing: "1-2" is refused, not read as 1.
+  double value = 0.0;
+  const char* end = scalar_.data() + scalar_.size();
+  const auto [ptr, ec] = std::from_chars(scalar_.data(), end, value);
+  if (ec != std::errc{} || ptr != end) type_error("a double");
+  return value;
 }
 
 const std::string& Json::as_string() const {

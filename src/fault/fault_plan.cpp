@@ -10,42 +10,6 @@ namespace esv::fault {
 
 namespace {
 
-std::vector<std::string> words_of(std::string_view line) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : line) {
-    if (c == '#') break;
-    if (c == ' ' || c == '\t') {
-      if (!current.empty()) {
-        out.push_back(current);
-        current.clear();
-      }
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) out.push_back(current);
-  return out;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-bool parse_u32(const std::string& text, std::uint32_t& out) {
-  std::uint64_t value = 0;
-  if (!parse_u64(text, value) || value > UINT32_MAX) return false;
-  out = static_cast<std::uint32_t>(value);
-  return true;
-}
-
 /// Consumes the trailing `window LO..HI` / `prob N/D` clauses, in any order.
 void parse_clauses(const std::vector<std::string>& w, std::size_t first,
                    FaultSpec& spec, int line) {
@@ -56,8 +20,8 @@ void parse_clauses(const std::vector<std::string>& w, std::size_t first,
       const std::string& range = w[i + 1];
       const std::size_t dots = range.find("..");
       if (dots == std::string::npos ||
-          !parse_u64(range.substr(0, dots), spec.from) ||
-          !parse_u64(range.substr(dots + 2), spec.until)) {
+          !common::parse_uint(range.substr(0, dots), spec.from) ||
+          !common::parse_uint(range.substr(dots + 2), spec.until)) {
         throw FaultPlanError("malformed window '" + range + "' (want LO..HI)",
                              line);
       }
@@ -70,8 +34,8 @@ void parse_clauses(const std::vector<std::string>& w, std::size_t first,
       const std::string& frac = w[i + 1];
       const std::size_t slash = frac.find('/');
       if (slash == std::string::npos ||
-          !parse_u32(frac.substr(0, slash), spec.prob_num) ||
-          !parse_u32(frac.substr(slash + 1), spec.prob_den) ||
+          !common::parse_uint(frac.substr(0, slash), spec.prob_num) ||
+          !common::parse_uint(frac.substr(slash + 1), spec.prob_den) ||
           spec.prob_den == 0) {
         throw FaultPlanError("malformed prob '" + frac + "' (want N/D)", line);
       }
@@ -142,7 +106,7 @@ std::string FaultPlan::digest() const {
 }
 
 FaultSpec parse_fault_line(std::string_view text, int line) {
-  const std::vector<std::string> w = words_of(text);
+  const std::vector<std::string> w = common::words(text);
   if (w.empty()) throw FaultPlanError("empty fault directive", line);
 
   FaultSpec spec;
@@ -160,10 +124,11 @@ FaultSpec parse_fault_line(std::string_view text, int line) {
       throw FaultPlanError("expected: stuckbit TARGET BIT VALUE", line);
     }
     spec.target = w[1];
-    if (!parse_u32(w[2], spec.bit) || spec.bit > 31) {
+    if (!common::parse_uint(w[2], spec.bit) || spec.bit > 31) {
       throw FaultPlanError("stuckbit bit must be 0..31", line);
     }
-    if (!parse_u32(w[3], spec.stuck_value) || spec.stuck_value > 1) {
+    if (!common::parse_uint(w[3], spec.stuck_value) ||
+        spec.stuck_value > 1) {
       throw FaultPlanError("stuckbit value must be 0 or 1", line);
     }
     clauses = 4;
@@ -201,7 +166,8 @@ FaultSpec parse_fault_line(std::string_view text, int line) {
     clauses = 2;
     if (spec.can_op == CanFaultOp::kDelay && w.size() > 2 &&
         w[2] != "window" && w[2] != "prob") {
-      if (!parse_u32(w[2], spec.delay_ticks) || spec.delay_ticks == 0) {
+      if (!common::parse_uint(w[2], spec.delay_ticks) ||
+          spec.delay_ticks == 0) {
         throw FaultPlanError("canfault delay ticks must be > 0", line);
       }
       clauses = 3;

@@ -756,8 +756,7 @@ class Analyzer {
   /// failure, or nullopt if none was confirmed.
   std::optional<int> replay() const {
     try {
-      mem::AddressSpace memory(
-          (program_.data_segment_end() + 0xFFFu) & ~0xFFFu);
+      mem::AddressSpace memory(program_.memory_bytes());
       minic::ZeroInputProvider inputs;
       esw::Interpreter interp(program_, lowered_, memory, inputs);
       interp.run(options_.replay_steps);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "common/strings.hpp"
 #include "minic/printer.hpp"
 
 namespace esv::gen {
@@ -153,8 +154,10 @@ struct Shrinker {
         pos = end + 1;
         continue;
       }
-      const std::string literal = text.substr(pos, end - pos);
-      const unsigned long long value = std::stoull(literal);
+      // A literal past 64 bits reads as 0, so no replacement is tried.
+      const std::uint64_t value =
+          common::parse_u64(std::string_view(text).substr(pos, end - pos))
+              .value_or(0);
       std::vector<std::string> replacements;
       if (value != 0) replacements.push_back("0");
       if (value > 1) replacements.push_back("1");

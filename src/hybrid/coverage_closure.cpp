@@ -17,10 +17,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint32_t ram_bytes_for(const minic::Program& program) {
-  return (program.data_segment_end() + 0xFFFu) & ~0xFFFu;
-}
-
 }  // namespace
 
 ClosureResult close_coverage(const casestudy::OperationSpec& op,
@@ -34,7 +30,7 @@ ClosureResult close_coverage(const casestudy::OperationSpec& op,
   // Live simulation platform (approach 2).
   minic::Program program = minic::compile(eeprom_emulation_source());
   esw::EswProgram lowered = esw::lower_program(program);
-  mem::AddressSpace memory(ram_bytes_for(program));
+  mem::AddressSpace memory(program.memory_bytes());
   flash::FlashController flash_dev(casestudy::eeprom_flash_config());
   memory.map_device(casestudy::kFlashMmioBase, flash_dev.window_bytes(),
                     flash_dev);

@@ -176,6 +176,12 @@ struct Program {
     }
     return end;
   }
+
+  /// Address-space size of a run: the data segment rounded up to a whole
+  /// 4 KiB page. Sema keeps the rounded end within 32 bits.
+  std::uint32_t memory_bytes() const {
+    return (data_segment_end() + 0xFFFu) & ~0xFFFu;
+  }
 };
 
 }  // namespace esv::minic

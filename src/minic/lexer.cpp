@@ -1,7 +1,11 @@
 #include "minic/lexer.hpp"
 
 #include <cctype>
+#include <cstdint>
+#include <optional>
 #include <unordered_map>
+
+#include "common/strings.hpp"
 
 namespace esv::minic {
 
@@ -92,36 +96,37 @@ std::vector<Token> tokenize(std::string_view src) {
     }
 
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::int64_t value = 0;
+      const std::size_t start = i;
+      int base = 10;
       if (c == '0' && i + 1 < src.size() &&
           (src[i + 1] == 'x' || src[i + 1] == 'X')) {
+        base = 16;
         i += 2;
         if (i >= src.size() ||
             !std::isxdigit(static_cast<unsigned char>(src[i]))) {
           throw LexError("malformed hex literal", line);
         }
-        while (i < src.size() &&
-               std::isxdigit(static_cast<unsigned char>(src[i]))) {
-          const char d = src[i];
-          const int digit = std::isdigit(static_cast<unsigned char>(d))
-                                ? d - '0'
-                                : std::tolower(d) - 'a' + 10;
-          value = value * 16 + digit;
-          ++i;
-        }
-      } else {
-        while (i < src.size() &&
-               std::isdigit(static_cast<unsigned char>(src[i]))) {
-          value = value * 10 + (src[i] - '0');
-          ++i;
-        }
+      }
+      const std::size_t digits = i;
+      while (i < src.size() &&
+             (base == 16 ? std::isxdigit(static_cast<unsigned char>(src[i]))
+                         : std::isdigit(static_cast<unsigned char>(src[i])))) {
+        ++i;
       }
       if (i < src.size() && (std::isalpha(static_cast<unsigned char>(src[i])) ||
                              src[i] == '_')) {
         throw LexError("malformed number literal", line);
       }
+      const std::optional<std::uint64_t> value =
+          common::parse_u64(src.substr(digits, i - digits), base);
+      if (!value || *value > INT64_MAX) {
+        throw LexError("number literal " +
+                           std::string(src.substr(start, i - start)) +
+                           " exceeds 9223372036854775807",
+                       line);
+      }
       t.kind = Tok::kNumber;
-      t.number = value;
+      t.number = static_cast<std::int64_t>(*value);
       out.push_back(std::move(t));
       continue;
     }

@@ -152,6 +152,11 @@ class Parser {
       if (size.number <= 0) {
         throw ParseError("array size must be positive", size.line);
       }
+      if (size.number > std::int64_t{UINT32_MAX}) {
+        throw ParseError("array size " + std::to_string(size.number) +
+                             " exceeds 4294967295",
+                         size.line);
+      }
       var.words = static_cast<std::uint32_t>(size.number);
       var.is_array = true;
       expect(Tok::kRBracket, "']'");

@@ -37,7 +37,11 @@ class Sema {
       fname.words = 1;
       program_.globals.insert(program_.globals.begin(), std::move(fname));
     }
-    std::uint32_t address = Program::kGlobalsBase;
+    // Laid out in 64 bits, so a segment past the 32-bit address space is
+    // refused instead of wrapping onto the globals before it. The space is
+    // whole 4 KiB pages (Program::memory_bytes), so the last page boundary
+    // below 2^32 is the limit.
+    std::uint64_t address = Program::kGlobalsBase;
     std::unordered_set<std::string> seen;
     for (auto& g : program_.globals) {
       if (!seen.insert(g.name).second) {
@@ -50,8 +54,13 @@ class Sema {
                           g.line);
         }
       }
-      g.address = address;
-      address += g.words * 4;
+      g.address = static_cast<std::uint32_t>(address);
+      address += std::uint64_t{g.words} * 4;
+      if (address > 0x100000000ull - 0x1000) {
+        throw SemaError(
+            "global '" + g.name + "' does not fit the 32-bit address space",
+            g.line);
+      }
       globals_[g.name] = &g;
     }
     program_.fname_address = program_.find_global("fname")->address;

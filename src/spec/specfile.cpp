@@ -1,31 +1,13 @@
 #include "spec/specfile.hpp"
 
-#include <cctype>
+#include <cstdint>
+#include <optional>
 
 #include "common/strings.hpp"
 
 namespace esv::spec {
 
 namespace {
-
-/// Splits a line into whitespace-separated words, stopping at '#'.
-std::vector<std::string> words_of(std::string_view line) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : line) {
-    if (c == '#') break;
-    if (c == ' ' || c == '\t') {
-      if (!current.empty()) {
-        out.push_back(current);
-        current.clear();
-      }
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) out.push_back(current);
-  return out;
-}
 
 sctc::Compare parse_op(const std::string& text, int line) {
   if (text == "==") return sctc::Compare::kEq;
@@ -37,35 +19,32 @@ sctc::Compare parse_op(const std::string& text, int line) {
   throw SpecError("unknown comparison operator '" + text + "'", line);
 }
 
-bool parse_int(const std::string& text, std::int64_t& out) {
-  if (text.empty()) return false;
-  std::size_t i = 0;
-  bool negative = false;
-  if (text[0] == '-') {
-    negative = true;
-    i = 1;
+/// Reads a decimal or 0x-hex literal with an optional '-'. False when `text`
+/// is not one; a SpecError naming it when it is one past int64.
+bool parse_int(const std::string& text, std::int64_t& out, int line) {
+  std::string_view digits = text;
+  const bool negative = digits.starts_with('-');
+  if (negative) digits.remove_prefix(1);
+  int base = 10;
+  if (digits.size() > 2 && digits[0] == '0' &&
+      (digits[1] == 'x' || digits[1] == 'X')) {
+    base = 16;
+    digits.remove_prefix(2);
   }
-  if (i >= text.size()) return false;
-  std::int64_t value = 0;
-  if (text.size() > i + 2 && text[i] == '0' &&
-      (text[i + 1] == 'x' || text[i + 1] == 'X')) {
-    for (i += 2; i < text.size(); ++i) {
-      const char c = static_cast<char>(std::tolower(text[i]));
-      if (c >= '0' && c <= '9') {
-        value = value * 16 + (c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value = value * 16 + (c - 'a' + 10);
-      } else {
-        return false;
-      }
-    }
-  } else {
-    for (; i < text.size(); ++i) {
-      if (text[i] < '0' || text[i] > '9') return false;
-      value = value * 10 + (text[i] - '0');
-    }
+  if (digits.empty() ||
+      digits.find_first_not_of(base == 16 ? "0123456789abcdefABCDEF"
+                                          : "0123456789") !=
+          std::string_view::npos) {
+    return false;
   }
-  out = negative ? -value : value;
+  const std::optional<std::uint64_t> magnitude =
+      common::parse_u64(digits, base);
+  const std::uint64_t limit =
+      negative ? std::uint64_t{1} << 63 : std::uint64_t{INT64_MAX};
+  if (!magnitude || *magnitude > limit) {
+    throw SpecError("integer '" + text + "' does not fit 64 bits", line);
+  }
+  out = static_cast<std::int64_t>(negative ? 0 - *magnitude : *magnitude);
   return true;
 }
 
@@ -77,9 +56,8 @@ SpecFile parse_spec(std::string_view text) {
   for (const std::string& raw : common::split(text, '\n')) {
     ++line_no;
     const std::string_view line = common::trim(raw);
-    if (line.empty() || line[0] == '#') continue;
-    const std::vector<std::string> w = words_of(line);
-    if (w.empty()) continue;
+    const std::vector<std::string> w = common::words(line);
+    if (w.empty()) continue;  // blank or a comment
 
     if (w[0] == "input") {
       // input NAME LO HI   |   input NAME chance NUM DEN
@@ -87,11 +65,13 @@ SpecFile parse_spec(std::string_view text) {
       input.line = line_no;
       if (w.size() == 5 && w[2] == "chance") {
         input.is_chance = true;
-        if (!parse_int(w[3], input.lo) || !parse_int(w[4], input.hi)) {
+        if (!parse_int(w[3], input.lo, line_no) ||
+            !parse_int(w[4], input.hi, line_no)) {
           throw SpecError("malformed chance", line_no);
         }
       } else if (w.size() == 4) {
-        if (!parse_int(w[2], input.lo) || !parse_int(w[3], input.hi)) {
+        if (!parse_int(w[2], input.lo, line_no) ||
+            !parse_int(w[3], input.hi, line_no)) {
           throw SpecError("malformed input range", line_no);
         }
       } else {
@@ -124,7 +104,7 @@ SpecFile parse_spec(std::string_view text) {
         throw SpecError("expected ':' in check line", line_no);
       }
       const std::vector<std::string> head =
-          words_of(line.substr(0, colon));
+          common::words(line.substr(0, colon));
       if (head.size() < 2 || head.size() > 3) {
         throw SpecError("expected: check NAME [psl]: PROPERTY", line_no);
       }
@@ -184,7 +164,7 @@ void apply_spec(const SpecFile& spec, const minic::Program& program,
     // Resolve the comparison value: integer, enum constant, or (for fname)
     // a function name.
     std::int64_t value = 0;
-    if (!parse_int(prop.value_text, value)) {
+    if (!parse_int(prop.value_text, value, prop.line)) {
       bool resolved = false;
       for (const auto& [name, constant] : program.enum_constants) {
         if (name == prop.value_text) {
@@ -204,6 +184,12 @@ void apply_spec(const SpecFile& spec, const minic::Program& program,
         throw SpecError("cannot resolve value '" + prop.value_text + "'",
                         prop.line);
       }
+    }
+    // The watched word is 32 bits: a value is its signed or unsigned reading.
+    if (value < INT32_MIN || value > std::int64_t{UINT32_MAX}) {
+      throw SpecError("value '" + prop.value_text +
+                          "' is outside -2147483648..4294967295",
+                      prop.line);
     }
     checker.register_proposition(
         prop.name, std::make_unique<sctc::MemoryWordProposition>(

@@ -15,8 +15,10 @@
 // injection directive, see docs/FAULTS.md). Proposition
 // right-hand sides are <global> <op> <value> where <op> is one of
 // == != < <= > >=, <global> may be `fname`, and <value> is an integer
-// literal (decimal or 0x hex), an enum constant of the program, or — when
-// the left side is fname — a function name.
+// literal (decimal or 0x hex, optional '-'), an enum constant of the
+// program, or — when the left side is fname — a function name; it must fit
+// the 32-bit word read signed or unsigned. Literals past their field are
+// refused (docs/RESILIENCE.md), never wrapped.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,8 @@
 #include <optional>
 #include <vector>
 
+#include "common/strings.hpp"
+
 namespace esv::temporal {
 
 namespace {
@@ -26,8 +28,7 @@ enum class TokKind {
 
 struct Token {
   TokKind kind = TokKind::kEnd;
-  std::string text;
-  std::uint64_t number = 0;
+  std::string text;  // identifier, string or digits
   std::size_t position = 0;
 };
 
@@ -68,14 +69,13 @@ class Lexer {
       return;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::uint64_t v = 0;
+      const std::size_t start = pos_;
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        v = v * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
         ++pos_;
       }
       current_.kind = TokKind::kNumber;
-      current_.number = v;
+      current_.text = std::string(text_.substr(start, pos_ - start));
       return;
     }
     if (c == '"') {
@@ -159,9 +159,14 @@ class ParserBase {
   /// Parses an optional "[n]" bound.
   std::optional<std::uint32_t> parse_bound() {
     if (!accept(TokKind::kLBracket)) return std::nullopt;
-    Token n = expect(TokKind::kNumber, "time bound");
+    const Token n = expect(TokKind::kNumber, "time bound");
+    std::uint32_t bound = 0;
+    if (!common::parse_uint(n.text, bound)) {
+      throw ParseError("time bound " + n.text + " exceeds 4294967295",
+                       n.position);
+    }
     expect(TokKind::kRBracket, "']'");
-    return static_cast<std::uint32_t>(n.number);
+    return bound;
   }
 
   void expect_end() {

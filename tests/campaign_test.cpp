@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -129,6 +130,22 @@ TEST(CampaignTest, CompiledAndBothModesMatchInterpretedVerdicts) {
     // errored seed (error_kind "monitor"); a correct build has none.
     EXPECT_EQ(report.error_seeds, 0u);
   }
+}
+
+// ESV_CAMPAIGN_TEST_DIVERGE_SEED goes through the one number reader: a
+// malformed value names no seed (strtoull read each of these as seed 0).
+TEST(CampaignTest, MalformedDivergeSeedDivergesNoSeed) {
+  constexpr const char* kHook = "ESV_CAMPAIGN_TEST_DIVERGE_SEED";
+  CampaignConfig config = blinker_config(0, 1, 1);
+  config.mode = sctc::MonitorMode::kBoth;
+  ::setenv(kHook, "0", 1);  // the hook itself fires on a valid seed
+  EXPECT_EQ(run(config).error_seeds, 1u);
+  for (const char* bad :
+       {"", "x0", "0x0", "-0", "0 ", "18446744073709551616"}) {
+    ::setenv(kHook, bad, 1);
+    EXPECT_EQ(run(config).error_seeds, 0u) << "'" << bad << "'";
+  }
+  ::unsetenv(kHook);
 }
 
 TEST(CampaignTest, ReportMetricsBlockRecordsMonitorModeAndThroughput) {

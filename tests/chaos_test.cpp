@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.hpp"
@@ -75,6 +77,45 @@ TEST(ChaosPlanTest, RejectsMalformedDirectives) {
   } catch (const ChaosPlanError& e) {
     EXPECT_EQ(e.line(), 2);
   }
+}
+
+// Plan numbers are read by the one strict reader: a value past its field
+// is refused, naming the value (the 32-bit fields truncated: prob
+// 4294967297/2 read as 1/2, gen 4294967296 as gen 0).
+TEST(ChaosPlanTest, NumbersPastTheirFieldAreRefusedNamingThem) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"wire.tx drop prob 4294967297/2",
+       "bad probability numerator '4294967297'"},
+      {"wire.tx drop prob 1/4294967296",
+       "bad probability denominator '4294967296'"},
+      {"worker.seed crash gen 4294967296", "bad gen '4294967296'"},
+      {"wire.tx drop nth 18446744073709551616",
+       "bad nth '18446744073709551616'"},
+      {"wire.tx delay 18446744073709551616",
+       "bad milliseconds '18446744073709551616'"},
+      {"wire.tx drop count 18446744073709551616",
+       "bad count '18446744073709551616'"},
+      {"wire.tx drop prob /2", "probability numerator missing"},
+      {"wire.tx drop nth -1", "bad nth '-1'"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      parse_plan(text);
+      FAIL() << "no error for: " << text;
+    } catch (const ChaosPlanError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // The edges of each field stay accepted.
+  const ChaosPlan edges = parse_plan(
+      "wire.tx drop prob 4294967295/4294967295 count 18446744073709551615\n"
+      "worker.seed crash nth 18446744073709551615 gen 4294967295");
+  EXPECT_EQ(edges.entries[0].prob_num, UINT32_MAX);
+  EXPECT_EQ(edges.entries[0].prob_den, UINT32_MAX);
+  EXPECT_EQ(edges.entries[0].count, UINT64_MAX);
+  EXPECT_EQ(edges.entries[1].nth, UINT64_MAX);
+  EXPECT_EQ(edges.entries[1].generation, UINT32_MAX);
 }
 
 TEST(ChaosPlanTest, DigestIsStableAndSelective) {
@@ -201,6 +242,20 @@ TEST(ChaosEngineTest, InstallFromEnvHonoursTheEnvironment) {
   ::setenv(kPlanEnv, "not a directive", 1);
   EXPECT_EQ(install_from_env(0, 0), nullptr);
   EXPECT_EQ(ChaosEngine::installed(), nullptr);
+  ::unsetenv(kPlanEnv);
+  ::unsetenv(kSeedEnv);
+}
+
+// A malformed seed is handled as a malformed plan is: nothing is installed
+// (strtoull read each of these as seed 0 and installed an engine).
+TEST(ChaosEngineTest, InstallFromEnvRefusesAMalformedSeed) {
+  ASSERT_EQ(ChaosEngine::installed(), nullptr);
+  ::setenv(kPlanEnv, "worker.seed crash nth 1", 1);
+  for (const char* seed : {"x42", "42x", "-1", " 42", "18446744073709551616"}) {
+    ::setenv(kSeedEnv, seed, 1);
+    EXPECT_EQ(install_from_env(0, 0), nullptr) << seed;
+    EXPECT_EQ(ChaosEngine::installed(), nullptr) << seed;
+  }
   ::unsetenv(kPlanEnv);
   ::unsetenv(kSeedEnv);
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -112,17 +114,36 @@ TEST(StringsTest, TrimEdges) {
   EXPECT_EQ(trim("x"), "x");
 }
 
-TEST(StringsTest, StartsWith) {
-  EXPECT_TRUE(starts_with("foobar", "foo"));
-  EXPECT_FALSE(starts_with("fo", "foo"));
-  EXPECT_TRUE(starts_with("abc", ""));
+TEST(StringsTest, WordsSplitAtSpacesAndTabsAndStopAtHash) {
+  EXPECT_EQ(words("  bitflip\tled  window 1..2 # note"),
+            (std::vector<std::string>{"bitflip", "led", "window", "1..2"}));
+  EXPECT_EQ(words("a#b c"), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(words("x\r"), (std::vector<std::string>{"x\r"}));
+  EXPECT_TRUE(words("").empty());
+  EXPECT_TRUE(words(" \t ").empty());
+  EXPECT_TRUE(words("# only a comment").empty());
 }
 
-TEST(StringsTest, WithThousands) {
-  EXPECT_EQ(with_thousands(0), "0");
-  EXPECT_EQ(with_thousands(999), "999");
-  EXPECT_EQ(with_thousands(1000), "1,000");
-  EXPECT_EQ(with_thousands(1234567), "1,234,567");
+TEST(StringsTest, ParseU64Base16TakesHexDigitsOnly) {
+  EXPECT_EQ(parse_u64("ff", 16), 255u);
+  EXPECT_EQ(parse_u64("FFFFFFFFFFFFFFFF", 16), UINT64_MAX);
+  EXPECT_EQ(parse_u64("00aB", 16), 0xABu);
+  for (const char* bad : {"", "0x10", "-1", "+1", "g", "1 ",
+                          "10000000000000000"}) {
+    EXPECT_EQ(parse_u64(bad, 16), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(StringsTest, ParseUintRefusesValuesPastTheFieldAndKeepsOut) {
+  std::uint32_t narrow = 7;
+  EXPECT_TRUE(parse_uint("4294967295", narrow));
+  EXPECT_EQ(narrow, UINT32_MAX);
+  EXPECT_FALSE(parse_uint("4294967296", narrow));
+  EXPECT_FALSE(parse_uint("1x", narrow));
+  EXPECT_EQ(narrow, UINT32_MAX);
+  std::uint64_t wide = 0;
+  EXPECT_TRUE(parse_uint("18446744073709551615", wide));
+  EXPECT_EQ(wide, UINT64_MAX);
 }
 
 // --- flag table -----------------------------------------------------------

@@ -57,6 +57,21 @@ TEST(DistJsonTest, RejectsMalformedDocuments) {
   EXPECT_THROW(doc.as_u64(), WireError);
 }
 
+// A number token is read whole or refused: std::stod read a prefix, so a
+// frame's "1-2" decoded as 1.
+TEST(DistJsonTest, NumbersAreReadWholeOrRefused) {
+  for (const char* bad : {"1-2", "1.5.5", "2e", "1e999", "-"}) {
+    const Json doc = Json::parse(bad);
+    EXPECT_THROW(doc.as_double(), WireError) << bad;
+    EXPECT_THROW(doc.as_u64(), WireError) << bad;
+  }
+  EXPECT_DOUBLE_EQ(Json::parse("1.0000000000000001e-05").as_double(), 1e-05);
+  EXPECT_DOUBLE_EQ(Json::parse("-0.5").as_double(), -0.5);
+  EXPECT_DOUBLE_EQ(Json::parse("30").as_double(), 30.0);
+  EXPECT_EQ(Json::parse("18446744073709551615").as_u64(), UINT64_MAX);
+  EXPECT_THROW(Json::parse("18446744073709551616").as_u64(), WireError);
+}
+
 TEST(DistJsonTest, DeepNestingIsAWireErrorNotAStackOverflow) {
   // A 100 KB frame, far under any request-size cap.
   std::string deep_object;

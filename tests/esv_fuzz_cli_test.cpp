@@ -50,6 +50,9 @@ TEST(EsvFuzzCliTest, BadValuesExitTwoNamingFlagAndValue) {
        "bad --corrupt-property value '1x'"},
       {"--seeds=18446744073709551616", "bad --seeds value"},
       {"--seeds=0..0 --frobnicate", "unknown option '--frobnicate'"},
+      // Bounded by nothing but the seed count before: one seed keeps this
+      // probe at one thread whichever build runs it.
+      {"--seeds=0..0 --jobs=1025", "bad --jobs value '1025'"},
   };
   for (const auto& [args, message] : cases) {
     const RunResult r = run_fuzz(args);

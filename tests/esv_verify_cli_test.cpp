@@ -111,6 +111,40 @@ TEST(EsvVerifyCliTest, MalformedSpecReportsLineAndExitsTwo) {
   EXPECT_NE(r.output.find("spec line 2"), std::string::npos) << r.output;
 }
 
+// A number past its field in any input language is a configuration error
+// (exit 2) naming the number. Each of these ran before, misread: the bound
+// and the comparison value wrapped to 0 (violated at step 1), the array
+// shrank to one word (a[1] wrote the next global), and the window read as
+// 0..1.
+TEST(EsvVerifyCliTest, MisreadInputNumbersExitTwoNamingTheNumber) {
+  const std::string dir = ::testing::TempDir();
+  std::ofstream(dir + "/big_bound.esv")
+      << "prop finished = cycles >= 500\ncheck big: F[4294967296] finished\n";
+  std::ofstream(dir + "/big_prop.esv")
+      << "prop led_big = led == 4294967296\ncheck never: G !led_big\n";
+  std::ofstream(dir + "/big_array.c")
+      << "int a[4294967297];\nint b;\nvoid main(void) { a[1] = 7; }\n";
+  std::ofstream(dir + "/big_array.esv") << "prop p = b == 0\ncheck c: G p\n";
+  std::ofstream(dir + "/big_window.flt")
+      << "bitflip led window 0..18446744073709551617\n";
+  const std::pair<std::string, const char*> cases[] = {
+      {blinker_c() + " " + dir + "/big_bound.esv",
+       "time bound 4294967296 exceeds 4294967295"},
+      {blinker_c() + " " + dir + "/big_prop.esv",
+       "value '4294967296' is outside -2147483648..4294967295"},
+      {dir + "/big_array.c " + dir + "/big_array.esv",
+       "array size 4294967297 exceeds 4294967295"},
+      {sample_args() + " --faults=" + dir + "/big_window.flt",
+       "malformed window '0..18446744073709551617'"},
+  };
+  for (const auto& [args, message] : cases) {
+    const RunResult r = run_cli(args + " --quiet");
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos)
+        << args << "\n" << r.output;
+  }
+}
+
 TEST(EsvVerifyCliTest, SingleRunStillExitsZeroOnCleanVerify) {
   const RunResult r = run_cli(sample_args() + " --quiet");
   EXPECT_EQ(r.exit_code, 0) << r.output;

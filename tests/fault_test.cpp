@@ -3,7 +3,9 @@
 // (memory, flash, CAN, clock).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "can/can_controller.hpp"
 #include "fault/fault_engine.hpp"
@@ -86,6 +88,44 @@ TEST(FaultPlanTest, RejectsMalformedDirectives) {
     EXPECT_EQ(e.line(), 2);
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+}
+
+// Plan numbers are read by the one strict reader: a window bound past 64
+// bits or a probability term past 32 bits is refused with the clause's
+// message (they wrapped: 0..18446744073709551617 read as 0..1).
+TEST(FaultPlanTest, NumbersPastTheirFieldAreRefusedNotWrapped) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"bitflip x window 0..18446744073709551617",
+       "malformed window '0..18446744073709551617' (want LO..HI)"},
+      {"bitflip x window 18446744073709551616..18446744073709551617",
+       "malformed window"},
+      {"bitflip x prob 1/18446744073709551617",
+       "malformed prob '1/18446744073709551617' (want N/D)"},
+      {"bitflip x prob 4294967296/4294967297", "malformed prob"},
+      {"bitflip x window -1..5", "malformed window"},
+      {"stuckbit x 18446744073709551618 1", "stuckbit bit must be 0..31"},
+      {"canfault delay 18446744073709551620",
+       "canfault delay ticks must be > 0"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      parse_plan(text);
+      FAIL() << "no error for: " << text;
+    } catch (const FaultPlanError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // The edges of each field stay accepted.
+  const FaultSpec edge = parse_fault_line(
+      "bitflip x window 0..18446744073709551615 prob 4294967295/4294967295",
+      1);
+  EXPECT_EQ(edge.from, 0u);
+  EXPECT_EQ(edge.until, UINT64_MAX);
+  EXPECT_EQ(edge.prob_num, UINT32_MAX);
+  EXPECT_EQ(edge.prob_den, UINT32_MAX);
+  EXPECT_EQ(parse_fault_line("canfault delay 4294967295", 1).delay_ticks,
+            UINT32_MAX);
 }
 
 TEST(FaultPlanTest, ResolveFillsAddressesAndRejectsUnknownTargets) {

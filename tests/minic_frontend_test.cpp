@@ -1,6 +1,9 @@
 // Tests for the mini-C lexer, parser, and semantic analysis.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "minic/lexer.hpp"
 #include "minic/parser.hpp"
 #include "minic/sema.hpp"
@@ -59,6 +62,32 @@ TEST(LexerTest, Errors) {
   EXPECT_THROW(tokenize("0x"), LexError);
   EXPECT_THROW(tokenize("123abc"), LexError);
   EXPECT_THROW(tokenize("/* unterminated"), LexError);
+}
+
+// A literal past int64 is a LexError naming it (the digit loop overflowed a
+// signed accumulator); the int64 edges keep their value.
+TEST(LexerTest, LiteralPastInt64IsALexError) {
+  for (const char* literal :
+       {"99999999999999999999", "9223372036854775808", "0x8000000000000000",
+        "0xFFFFFFFFFFFFFFFFF"}) {
+    try {
+      tokenize(std::string("int x = ") + literal + ";");
+      FAIL() << "no error for: " << literal;
+    } catch (const LexError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("number literal ") +
+                                           literal +
+                                           " exceeds 9223372036854775807"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const auto toks =
+      tokenize("9223372036854775807 0x7FFFFFFFFFFFFFFF 0xffffffff 007 0X1f");
+  EXPECT_EQ(toks[0].number, INT64_MAX);
+  EXPECT_EQ(toks[1].number, INT64_MAX);
+  EXPECT_EQ(toks[2].number, 0xFFFFFFFF);
+  EXPECT_EQ(toks[3].number, 7);
+  EXPECT_EQ(toks[4].number, 31);
 }
 
 // --- parser ------------------------------------------------------------------
@@ -161,6 +190,21 @@ TEST(ParserTest2, Errors) {
                ParseError);
 }
 
+// An array size is a 32-bit word count: past it the declaration is refused
+// (int a[4294967297] compiled as a one-word array).
+TEST(ParserTest2, ArraySizePast32BitsIsRefused) {
+  try {
+    parse_program("int a[4294967297]; void main(void) {}");
+    FAIL() << "no error";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("array size 4294967297 exceeds"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse_program("int a[4294967295];").globals[0].words,
+            4294967295u);
+}
+
 // --- sema --------------------------------------------------------------------
 
 TEST(SemaTest, LayoutAssignsAddresses) {
@@ -176,6 +220,39 @@ TEST(SemaTest, LayoutAssignsAddresses) {
   EXPECT_EQ(p.find_global("arr")->address, Program::kGlobalsBase + 8);
   EXPECT_EQ(p.find_global("b")->address, Program::kGlobalsBase + 20);
   EXPECT_EQ(p.data_segment_end(), Program::kGlobalsBase + 24);
+}
+
+// Globals are laid out in 64 bits: a data segment whose page-rounded end
+// would pass the 32-bit address space is refused instead of wrapping onto
+// the globals before it (or, in the last page, sizing the memory to 0). The
+// largest layout that fits stays accepted. (Only the front end runs:
+// nothing is allocated.)
+TEST(SemaTest, LayoutPastThe32BitAddressSpaceIsRefused) {
+  // fname takes the first word; `a` starts at kGlobalsBase + 4.
+  constexpr std::uint64_t kFits =
+      (0x100000000ull - 0x1000 - Program::kGlobalsBase) / 4 - 1;
+  const auto array = [](std::uint64_t words) {
+    return "int a[" + std::to_string(words) + "]; ";
+  };
+  const Program largest = compile(array(kFits) + "void main(void) {}");
+  EXPECT_EQ(largest.data_segment_end(), 0xFFFFF000u);
+  EXPECT_EQ(largest.memory_bytes(), 0xFFFFF000u);
+  for (const std::string& source :
+       {array(kFits + 1) + "void main(void) {}",
+        array(1073741823) + "int b; void main(void) {}",
+        array(536870912) + "int b[536870912]; void main(void) {}"}) {
+    try {
+      compile(source);
+      FAIL() << "no error for: " << source;
+    } catch (const SemaError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "does not fit the 32-bit address space"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // journal_cli_test's 128 MiB buffer still compiles.
+  EXPECT_NO_THROW(compile(array(33554432) + "void main(void) {}"));
 }
 
 TEST(SemaTest, ResolvesReferences) {

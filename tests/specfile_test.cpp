@@ -1,6 +1,10 @@
 // Tests for the ESV spec-file parser and its binding to programs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "mem/address_space.hpp"
 #include "minic/sema.hpp"
 #include "spec/specfile.hpp"
@@ -86,6 +90,43 @@ TEST(SpecParseTest, ErrorsCarryExactLineLocation) {
   }
 }
 
+// A literal past int64 is refused with a message naming it; it used to wrap
+// (signed overflow) into an arbitrary bound.
+TEST(SpecParseTest, InputBoundPastInt64IsRefusedNamingIt) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"input x 0 9223372036854775808", "9223372036854775808"},
+      {"input x -9223372036854775809 0", "-9223372036854775809"},
+      {"input x chance 1 18446744073709551617", "18446744073709551617"},
+      {"input x 0 0x10000000000000000", "0x10000000000000000"},
+  };
+  for (const auto& [text, value] : cases) {
+    try {
+      parse_spec(text);
+      FAIL() << "no error for: " << text;
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + value + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The int64 edges, hex included, stay accepted; non-literals keep their
+  // message.
+  const SpecFile edges = parse_spec(
+      "input x -9223372036854775808 9223372036854775807\n"
+      "input y -0x10 0x7FFFFFFFFFFFFFFF");
+  EXPECT_EQ(edges.inputs[0].lo, INT64_MIN);
+  EXPECT_EQ(edges.inputs[0].hi, INT64_MAX);
+  EXPECT_EQ(edges.inputs[1].lo, -16);
+  EXPECT_EQ(edges.inputs[1].hi, INT64_MAX);
+  try {
+    parse_spec("input x 0 12abc");
+    FAIL();
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed input range"),
+              std::string::npos);
+  }
+}
+
 class ApplyTest : public ::testing::Test {
  protected:
   ApplyTest()
@@ -143,6 +184,44 @@ TEST_F(ApplyTest, RejectsUnknownNames) {
     FAIL();
   } catch (const SpecError& e) {
     EXPECT_EQ(e.line(), 2);
+  }
+}
+
+// The watched word is 32 bits: a value outside its signed or unsigned
+// reading is refused instead of truncated (4294967296 compared as 0).
+TEST_F(ApplyTest, PropValueOutside32BitsIsRefusedNamingIt) {
+  for (const char* value : {"4294967296", "-2147483649", "0x100000000",
+                            "99999999999999999999"}) {
+    try {
+      apply_spec(parse_spec(std::string("prop big = state == ") + value),
+                 program, memory, checker);
+      FAIL() << "no error for: " << value;
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + value + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(ApplyTest, PropValueEdgesKeepTheirWord) {
+  const SpecFile spec = parse_spec(R"(
+prop all_ones = state == 0xFFFFFFFF
+prop minus_one = state == -1
+prop top = state == 4294967295
+prop low = counter == -2147483648
+check a: F all_ones
+check b: F minus_one
+check c: F top
+check d: F low
+)");
+  apply_spec(spec, program, memory, checker);
+  memory.write_word(program.find_global("state")->address, 0xFFFFFFFFu);
+  memory.write_word(program.find_global("counter")->address, 0x80000000u);
+  checker.step_all();
+  for (const auto& property : checker.properties()) {
+    EXPECT_EQ(property.verdict(), temporal::Verdict::kValidated)
+        << property.name;
   }
 }
 

@@ -208,6 +208,44 @@ TEST_F(ParserTest, DeepNestingIsAParseErrorInBothDialects) {
   EXPECT_EQ(parse_psl(nest("(", 100, ")", 100), f), f.prop("p"));
 }
 
+// A time bound is a 32-bit step count. Past it, or past 64 bits, the parse
+// fails at the number instead of wrapping (F[4294967296] ran as F[0] and
+// was violated at step 1), in both dialects.
+TEST_F(ParserTest, TimeBoundPast32BitsIsAParseErrorInBothDialects) {
+  struct Case {
+    Dialect dialect;
+    const char* text;
+    const char* bound;
+    std::size_t position;
+  };
+  const Case cases[] = {
+      {Dialect::kFltl, "F[4294967296] p", "4294967296", 2},
+      {Dialect::kFltl, "G (a -> F[123456789012345678901] b)",
+       "123456789012345678901", 10},
+      {Dialect::kFltl, "a U[4294967297] b", "4294967297", 4},
+      {Dialect::kPsl, "eventually![4294967296] p", "4294967296", 12},
+      {Dialect::kPsl, "always (a -> eventually![123456789012345678901] b)",
+       "123456789012345678901", 25},
+  };
+  for (const Case& c : cases) {
+    try {
+      parse_property(c.text, c.dialect, f);
+      FAIL() << "no error for: " << c.text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.position(), c.position) << c.text;
+      EXPECT_NE(std::string(e.what()).find(std::string("time bound ") +
+                                            c.bound + " exceeds 4294967295"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  FormulaRef p = f.prop("p");
+  EXPECT_EQ(parse_fltl("F[4294967295] p", f), f.eventually(p, 4294967295u));
+  EXPECT_EQ(parse_psl("eventually![4294967295] p", f),
+            f.eventually(p, 4294967295u));
+  EXPECT_EQ(parse_fltl("F[007] p", f), f.eventually(p, 7));
+}
+
 TEST_F(ParserTest, DialectDispatch) {
   EXPECT_EQ(parse_property("G a", Dialect::kFltl, f), f.always(f.prop("a")));
   EXPECT_EQ(parse_property("always a", Dialect::kPsl, f),

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/seed_runner.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
 #include "gen/differential.hpp"
@@ -67,8 +68,8 @@ int usage(const std::string& error = "") {
   std::cerr <<
       "usage: esv-fuzz [options]\n"
       "  --seeds=N | --seeds=LO..HI   seed range (default 100: seeds 0..99)\n"
-      "  --jobs=N                     worker threads (default 1; results are\n"
-      "                               independent of N)\n"
+      "  --jobs=N                     worker threads (default 1, at most\n"
+      "                               1024; results are independent of N)\n"
       "  --repro-dir=DIR              shrink failures and write reproducers\n"
       "  --reproduce=DIR              re-derive a reproducer from its\n"
       "                               repro.json and byte-compare program.c\n"
@@ -250,7 +251,8 @@ int main(int argc, char** argv) {
       [](const std::string& arg) { return "unknown option '" + arg + "'"; });
   flags.range("--seeds", options.seed_lo, options.seed_hi, "", /*min_lo=*/0,
               /*bare_count=*/true);
-  flags.number("--jobs", options.jobs, "");
+  flags.number("--jobs", options.jobs, "", 0,
+               esv::campaign::kMaxParallelism);
   flags.text("--repro-dir", options.repro_dir);
   flags.text("--reproduce", options.reproduce_dir);
   flags.number("--corrupt-seed", corrupt_seed, "");
