@@ -11,10 +11,6 @@ namespace esv::campaign {
 
 namespace {
 
-const char* mode_name(sctc::MonitorMode mode) {
-  return sctc::monitor_mode_name(mode);
-}
-
 char verdict_letter(temporal::Verdict v) {
   switch (v) {
     case temporal::Verdict::kValidated: return 'V';
@@ -22,15 +18,6 @@ char verdict_letter(temporal::Verdict v) {
     case temporal::Verdict::kPending: return 'P';
   }
   return '?';
-}
-
-const char* verdict_json(temporal::Verdict v) {
-  switch (v) {
-    case temporal::Verdict::kValidated: return "validated";
-    case temporal::Verdict::kViolated: return "violated";
-    case temporal::Verdict::kPending: return "pending";
-  }
-  return "unknown";
 }
 
 /// Fixed-precision percentage so the deterministic outputs never depend on
@@ -41,17 +28,13 @@ std::string percent_text(double percent) {
   return out.str();
 }
 
-const char* fault_class_json(sctc::FaultClass fault_class) {
-  return sctc::fault_class_name(fault_class);
-}
-
 }  // namespace
 
 std::string CampaignReport::verdict_table() const {
   std::ostringstream out;
   out << "campaign seeds " << seed_lo << ".." << seed_hi << "  approach="
-      << approach << "  mode=" << mode_name(mode) << "  max-steps="
-      << max_steps << "\n";
+      << approach << "  mode=" << sctc::monitor_mode_name(mode)
+      << "  max-steps=" << max_steps << "\n";
   if (fault_campaign) {
     out << "fault plan: " << fault_plan_entries << " entries, "
         << injected_faults_total << " faults injected\n";
@@ -125,8 +108,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
   std::ostringstream out;
   out << "{\n  \"campaign\": {"
       << "\"seed_lo\": " << seed_lo << ", \"seed_hi\": " << seed_hi
-      << ", \"approach\": " << approach << ", \"mode\": \"" << mode_name(mode)
-      << "\", \"max_steps\": " << max_steps;
+      << ", \"approach\": " << approach << ", \"mode\": \""
+      << sctc::monitor_mode_name(mode) << "\", \"max_steps\": " << max_steps;
   if (include_timing) out << ", \"jobs\": " << jobs;
   out << "},\n";
 
@@ -141,8 +124,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
     const SeedResult& seed = seeds[s];
     out << "    {\"seed\": " << seed.seed << ", \"verdicts\": [";
     for (std::size_t p = 0; p < seed.properties.size(); ++p) {
-      out << (p ? ", " : "") << "\"" << verdict_json(seed.properties[p].verdict)
-          << "\"";
+      out << (p ? ", " : "") << "\""
+          << temporal::to_string(seed.properties[p].verdict) << "\"";
     }
     out << "], \"decided_at_step\": [";
     for (std::size_t p = 0; p < seed.properties.size(); ++p) {
@@ -157,7 +140,7 @@ std::string CampaignReport::to_json(bool include_timing) const {
           << ", \"fault_classes\": [";
       for (std::size_t p = 0; p < seed.properties.size(); ++p) {
         out << (p ? ", " : "") << "\""
-            << fault_class_json(seed.properties[p].fault_class) << "\"";
+            << sctc::fault_class_name(seed.properties[p].fault_class) << "\"";
       }
       out << "]";
       if (!seed.fault_log.empty()) {
@@ -252,8 +235,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
     // reproducible from the report JSON alone: mode, steps, and rate all
     // live next to the counters that produced them.
     const std::string snapshot = metrics.to_json(include_timing);
-    out << ",\n  \"metrics\": {\"monitor_mode\": \"" << mode_name(mode)
-        << "\",";
+    out << ",\n  \"metrics\": {\"monitor_mode\": \""
+        << sctc::monitor_mode_name(mode) << "\",";
     if (include_timing) {
       out << " \"steps_per_second\": " << std::fixed << std::setprecision(1)
           << (wall_seconds > 0.0

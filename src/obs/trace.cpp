@@ -65,10 +65,6 @@ void TraceWriter::chaos_injected(std::string_view point,
   append(line + "}");
 }
 
-void TraceWriter::handshake(std::uint64_t steps) {
-  append("{\"type\":\"handshake\",\"steps\":" + std::to_string(steps) + "}");
-}
-
 void TraceWriter::worker_event(std::string_view event, unsigned worker,
                                unsigned generation, std::string_view detail) {
   std::string line = "{\"type\":\"worker\",\"event\":" +

@@ -23,7 +23,6 @@
 //   {"type":"chaos_injected","point":"wire.tx","action":"drop","hit":N,
 //    "detail":"..."}   (self-chaos infrastructure fault; docs/RESILIENCE.md
 //    — operational, never part of the deterministic per-seed traces)
-//   {"type":"handshake","steps":N}
 //   {"type":"seed_end","seed":N,"steps":N,"validated":N,"violated":N,
 //    "pending":N}
 //   {"type":"worker","event":"spawn"|"exit"|"respawn"|"timeout",
@@ -56,7 +55,6 @@ class TraceWriter {
   /// Self-chaos infrastructure fault injection (docs/RESILIENCE.md).
   void chaos_injected(std::string_view point, std::string_view action,
                       std::uint64_t hit, std::string_view detail = {});
-  void handshake(std::uint64_t steps);
   /// Worker lifecycle event (distributed campaigns; docs/DISTRIBUTED.md).
   void worker_event(std::string_view event, unsigned worker,
                     unsigned generation, std::string_view detail = {});

@@ -38,13 +38,6 @@ class EswMonitor : public sim::Module {
   TemporalChecker& checker() { return checker_; }
   const TemporalChecker& checker() const { return checker_; }
 
-  /// Attaches observability sinks to the wrapped checker and records the
-  /// handshake itself: once the software's flag goes high, the trigger
-  /// count spent waiting is traced as a `handshake` event and added to the
-  /// `sctc.handshake_steps` counter. Either pointer may be null.
-  void set_observability(obs::MetricsRegistry* metrics,
-                         obs::TraceWriter* trace);
-
   /// True once the software's flag variable was observed non-zero.
   bool initialized() const { return initialized_; }
   /// Trigger count spent waiting for the handshake.
@@ -59,8 +52,6 @@ class EswMonitor : public sim::Module {
   std::function<void(TemporalChecker&)> setup_;
   bool initialized_ = false;
   std::uint64_t handshake_steps_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceWriter* trace_ = nullptr;
 };
 
 }  // namespace esv::sctc

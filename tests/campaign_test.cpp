@@ -176,7 +176,7 @@ TEST(CampaignTest, SingleSeedCampaignMatchesLegacySingleRunPath) {
   // The legacy path: exactly what esv-verify does for --approach=2 --seed=7.
   minic::Program program = minic::compile(kBlinker);
   const spec::SpecFile specfile = spec::parse_spec(kBlinkerSpec);
-  mem::AddressSpace memory((program.data_segment_end() + 0xFFFu) & ~0xFFFu);
+  mem::AddressSpace memory(program.memory_bytes());
   stimulus::RandomInputProvider inputs(kSeed);
   for (const auto& input : specfile.inputs) {
     inputs.set_range(input.name, input.lo, input.hi);

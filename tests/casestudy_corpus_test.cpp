@@ -1,24 +1,39 @@
-// The automotive scenario corpus: every embedded case study compiles,
-// its spec and fault plan parse and resolve against the program, and the
-// embedded copies stay byte-identical to the canonical files under
-// examples/data/ (the runnable form used by the esv-verify smoke tests).
+// The automotive scenario corpus: every case study under examples/data/
+// (<study>.c, <study>.esv, <study>.flt, the files esv-verify runs) compiles,
+// and its spec and fault plan parse and resolve against the program. The
+// data directory and the study list are injected by CMake.
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "casestudy/corpus.hpp"
 #include "fault/fault_plan.hpp"
 #include "minic/printer.hpp"
 #include "minic/sema.hpp"
 #include "spec/specfile.hpp"
 
+#ifndef ESV_DATA_DIR
+#error "ESV_DATA_DIR must be defined by the build"
+#endif
+#ifndef ESV_CASE_STUDIES
+#error "ESV_CASE_STUDIES must be defined by the build"
+#endif
+
 namespace esv {
 namespace {
 
-std::string read_file(const std::string& path) {
+/// The build's comma-separated study list.
+std::vector<std::string> studies() {
+  std::vector<std::string> names;
+  std::istringstream in(ESV_CASE_STUDIES);
+  for (std::string name; std::getline(in, name, ',');) names.push_back(name);
+  return names;
+}
+
+std::string read_study_file(const std::string& study, const char* extension) {
+  const std::string path = std::string(ESV_DATA_DIR) + "/" + study + extension;
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
   std::ostringstream out;
@@ -26,29 +41,18 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-TEST(CasestudyCorpusTest, HasTheThreeAutomotiveScenarios) {
-  ASSERT_EQ(casestudy::corpus_size(), 3u);
-  EXPECT_STREQ(casestudy::corpus()[0].name, "osek_scheduler");
-  EXPECT_STREQ(casestudy::corpus()[1].name, "can_transport");
-  EXPECT_STREQ(casestudy::corpus()[2].name, "sensor_debounce");
-}
-
-TEST(CasestudyCorpusTest, FindCaseResolvesSlugs) {
-  ASSERT_NE(casestudy::find_case("can_transport"), nullptr);
-  EXPECT_STREQ(casestudy::find_case("can_transport")->name, "can_transport");
-  EXPECT_EQ(casestudy::find_case("no_such_study"), nullptr);
-}
-
 TEST(CasestudyCorpusTest, EveryEntryCompilesAndResolves) {
-  for (std::size_t i = 0; i < casestudy::corpus_size(); ++i) {
-    const casestudy::CorpusEntry& entry = casestudy::corpus()[i];
-    SCOPED_TRACE(entry.name);
+  ASSERT_FALSE(studies().empty());
+  for (const std::string& study : studies()) {
+    SCOPED_TRACE(study);
 
-    minic::Program program = minic::compile(entry.source);
+    minic::Program program = minic::compile(read_study_file(study, ".c"));
     EXPECT_FALSE(program.globals.empty());
+    EXPECT_NE(program.find_function("main"), nullptr);
 
     // The spec parses and every proposition watches a real global.
-    const spec::SpecFile spec_file = spec::parse_spec(entry.spec);
+    const spec::SpecFile spec_file =
+        spec::parse_spec(read_study_file(study, ".esv"));
     EXPECT_GE(spec_file.properties.size(), 4u);
     for (const spec::PropositionSpec& prop : spec_file.propositions) {
       if (prop.global == "fname") continue;
@@ -57,8 +61,9 @@ TEST(CasestudyCorpusTest, EveryEntryCompilesAndResolves) {
           << prop.global;
     }
 
-    // The fault plan parses and every bitflip targets a real global.
-    const fault::FaultPlan plan = fault::parse_plan(entry.fault_plan);
+    // The fault plan parses and every fault targets a real global.
+    const fault::FaultPlan plan =
+        fault::parse_plan(read_study_file(study, ".flt"));
     EXPECT_FALSE(plan.empty());
     for (const fault::FaultSpec& fault_spec : plan.entries) {
       EXPECT_NE(program.find_global(fault_spec.target), nullptr)
@@ -70,36 +75,10 @@ TEST(CasestudyCorpusTest, EveryEntryCompilesAndResolves) {
 TEST(CasestudyCorpusTest, SourcesReachPrinterFixpoint) {
   // The hand-written sources are not in canonical form, but one
   // canonicalize step must land on the parse-print fixpoint.
-  for (std::size_t i = 0; i < casestudy::corpus_size(); ++i) {
-    const casestudy::CorpusEntry& entry = casestudy::corpus()[i];
-    SCOPED_TRACE(entry.name);
-    const std::string once = minic::canonicalize(entry.source);
+  for (const std::string& study : studies()) {
+    SCOPED_TRACE(study);
+    const std::string once = minic::canonicalize(read_study_file(study, ".c"));
     EXPECT_EQ(minic::canonicalize(once), once);
-  }
-}
-
-TEST(CasestudyCorpusTest, EmbeddedCopiesMatchDataFiles) {
-  // corpus.cpp is generated from examples/data/; this pins the two forms
-  // together byte for byte so neither can drift silently.
-  const std::string dir = ESV_DATA_DIR;
-  for (std::size_t i = 0; i < casestudy::corpus_size(); ++i) {
-    const casestudy::CorpusEntry& entry = casestudy::corpus()[i];
-    SCOPED_TRACE(entry.name);
-    const std::string base = dir + "/" + entry.name;
-    EXPECT_EQ(read_file(base + ".c"), entry.source);
-    EXPECT_EQ(read_file(base + ".esv"), entry.spec);
-    EXPECT_EQ(read_file(base + ".flt"), entry.fault_plan);
-  }
-}
-
-TEST(CasestudyCorpusTest, TitlesAndSlugsAreUnique) {
-  std::set<std::string> names;
-  std::set<std::string> titles;
-  for (std::size_t i = 0; i < casestudy::corpus_size(); ++i) {
-    const casestudy::CorpusEntry& entry = casestudy::corpus()[i];
-    EXPECT_TRUE(names.insert(entry.name).second);
-    EXPECT_TRUE(titles.insert(entry.title).second);
-    EXPECT_NE(std::string(entry.source).find("main"), std::string::npos);
   }
 }
 

@@ -9,18 +9,15 @@
 // (exit 3), and worker-side plan propagation end to end.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "chaos/chaos.hpp"
+#include "cli_runner.hpp"
 #include "dist/broker.hpp"
 
 #ifndef ESV_WORKER_BIN
@@ -295,24 +292,11 @@ TEST(ChaosSweepTest, InProcessRunnerHasNoChaosSurface) {
 
 // --- CLI surface ---------------------------------------------------------
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
+using cli::RunResult;
+using cli::read_file;
 
 RunResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(ESV_VERIFY_BIN) + " " + args + " 2>&1";
-  RunResult result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buffer[512];
-  while (fgets(buffer, sizeof buffer, pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
-  return result;
+  return cli::run_command(std::string(ESV_VERIFY_BIN) + " " + args);
 }
 
 std::string sample_args() {
@@ -321,15 +305,7 @@ std::string sample_args() {
 }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "esv_chaos_" + std::to_string(::getpid()) +
-         "_" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return cli::temp_path("esv_chaos_", name);
 }
 
 TEST(ChaosCliTest, FlagValidationExitsTwo) {

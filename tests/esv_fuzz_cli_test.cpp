@@ -5,11 +5,10 @@
 // injected by CMake.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <string>
 #include <utility>
+
+#include "cli_runner.hpp"
 
 #ifndef ESV_FUZZ_BIN
 #error "ESV_FUZZ_BIN must be defined by the build"
@@ -17,24 +16,10 @@
 
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
+using esv::cli::RunResult;
 
 RunResult run_fuzz(const std::string& args) {
-  const std::string command =
-      std::string(ESV_FUZZ_BIN) + " " + args + " 2>&1";
-  RunResult result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buffer[512];
-  while (fgets(buffer, sizeof buffer, pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
-  return result;
+  return esv::cli::run_command(std::string(ESV_FUZZ_BIN) + " " + args);
 }
 
 TEST(EsvFuzzCliTest, BadValuesExitTwoNamingFlagAndValue) {

@@ -4,11 +4,12 @@
 // The binary path and sample data directory are injected by CMake.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
+
+#include "cli_runner.hpp"
 
 #ifndef ESV_VERIFY_BIN
 #error "ESV_VERIFY_BIN must be defined by the build"
@@ -19,24 +20,10 @@
 
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
+using esv::cli::RunResult;
 
 RunResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(ESV_VERIFY_BIN) + " " + args + " 2>&1";
-  RunResult result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buffer[512];
-  while (fgets(buffer, sizeof buffer, pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
-  return result;
+  return esv::cli::run_command(std::string(ESV_VERIFY_BIN) + " " + args);
 }
 
 std::string blinker_c() { return std::string(ESV_DATA_DIR) + "/blinker.c"; }

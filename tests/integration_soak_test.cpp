@@ -19,8 +19,7 @@ TEST(IntegrationSoakTest, AllPropertiesSimultaneouslyOnEswModel) {
 
   minic::Program program = minic::compile(eeprom_emulation_source());
   esw::EswProgram lowered = esw::lower_program(program);
-  mem::AddressSpace memory(
-      (program.data_segment_end() + 0xFFFu) & ~0xFFFu);
+  mem::AddressSpace memory(program.memory_bytes());
   flash::FlashController flash_dev(eeprom_flash_config());
   memory.map_device(kFlashMmioBase, flash_dev.window_bytes(), flash_dev);
   stimulus::RandomInputProvider inputs(0xCAFE);
@@ -77,8 +76,7 @@ TEST(IntegrationSoakTest, LongRunStaysConsistentAcrossReboots) {
   using namespace casestudy;
   minic::Program program = minic::compile(eeprom_emulation_source());
   esw::EswProgram lowered = esw::lower_program(program);
-  mem::AddressSpace memory(
-      (program.data_segment_end() + 0xFFFu) & ~0xFFFu);
+  mem::AddressSpace memory(program.memory_bytes());
   flash::FlashController flash_dev(eeprom_flash_config());
   memory.map_device(kFlashMmioBase, flash_dev.window_bytes(), flash_dev);
 

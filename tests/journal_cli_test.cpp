@@ -12,14 +12,12 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_runner.hpp"
 #include "journal/journal.hpp"
 
 #ifndef ESV_VERIFY_BIN
@@ -39,24 +37,12 @@
 
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
+using esv::cli::RunResult;
+using esv::cli::read_file;
+using esv::cli::write_file;
 
 RunResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(ESV_VERIFY_BIN) + " " + args + " 2>&1";
-  RunResult result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buffer[512];
-  while (fgets(buffer, sizeof buffer, pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
-  return result;
+  return esv::cli::run_command(std::string(ESV_VERIFY_BIN) + " " + args);
 }
 
 std::string blinker_c() { return std::string(ESV_DATA_DIR) + "/blinker.c"; }
@@ -64,20 +50,7 @@ std::string blinker_esv() { return std::string(ESV_DATA_DIR) + "/blinker.esv"; }
 std::string sample_args() { return blinker_c() + " " + blinker_esv(); }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "esv_jcli_" + std::to_string(::getpid()) +
-         "_" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
+  return esv::cli::temp_path("esv_jcli_", name);
 }
 
 /// A blinker slowed to ~thousands of statements per seed, so a campaign over

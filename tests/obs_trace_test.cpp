@@ -28,11 +28,10 @@ TEST(ObsTraceTest, GoldenEventSchema) {
   trace.automaton_state(2, "legal", 3);
   trace.monitor_transition(5, "legal", "pending", "violated");
   trace.fault(4, "bitflip led bit 3");
-  trace.handshake(12);
   trace.seed_end(7, 200, 1, 1, 0);
 
   const std::vector<std::string> lines = lines_of(trace.text());
-  ASSERT_EQ(lines.size(), 8u);
+  ASSERT_EQ(lines.size(), 7u);
   EXPECT_EQ(lines[0], "{\"type\":\"seed_start\",\"seed\":7}");
   EXPECT_EQ(lines[1],
             "{\"type\":\"prop_change\",\"step\":1,\"prop\":\"led_on\","
@@ -49,11 +48,10 @@ TEST(ObsTraceTest, GoldenEventSchema) {
             "\"to\":\"violated\"}");
   EXPECT_EQ(lines[5],
             "{\"type\":\"fault\",\"step\":4,\"text\":\"bitflip led bit 3\"}");
-  EXPECT_EQ(lines[6], "{\"type\":\"handshake\",\"steps\":12}");
-  EXPECT_EQ(lines[7],
+  EXPECT_EQ(lines[6],
             "{\"type\":\"seed_end\",\"seed\":7,\"steps\":200,"
             "\"validated\":1,\"violated\":1,\"pending\":0}");
-  EXPECT_EQ(trace.event_count(), 8u);
+  EXPECT_EQ(trace.event_count(), 7u);
 }
 
 TEST(ObsTraceTest, EscapesHostileText) {

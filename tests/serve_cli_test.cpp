@@ -11,14 +11,12 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cli_runner.hpp"
 #include "dist/wire.hpp"
 #include "serve/persist.hpp"
 
@@ -34,23 +32,10 @@
 
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
-
-RunResult run_command(const std::string& command) {
-  RunResult result;
-  FILE* pipe = popen((command + " 2>&1").c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buffer[512];
-  while (fgets(buffer, sizeof buffer, pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
-  return result;
-}
+using esv::cli::run_command;
+using esv::cli::RunResult;
+using esv::cli::read_file;
+using esv::cli::write_file;
 
 RunResult run_client(const std::string& args) {
   return run_command(std::string(ESV_CLIENT_BIN) + " " + args);
@@ -61,20 +46,7 @@ RunResult run_serve(const std::string& args) {
 }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "esv_scli_" + std::to_string(::getpid()) +
-         "_" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
+  return esv::cli::temp_path("esv_scli_", name);
 }
 
 std::string blinker_args() {

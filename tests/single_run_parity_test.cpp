@@ -11,7 +11,6 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -20,6 +19,7 @@
 #include <tuple>
 #include <utility>
 
+#include "cli_runner.hpp"
 #include "dist/wire.hpp"
 
 #ifndef ESV_VERIFY_BIN
@@ -34,24 +34,11 @@ namespace {
 constexpr std::uint64_t kSeed = 7;
 constexpr const char* kMaxSteps = " --max-steps=30000";
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
+using esv::cli::RunResult;
+using esv::cli::read_file;
 
 RunResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(ESV_VERIFY_BIN) + " " + args + " 2>&1";
-  RunResult result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  char buffer[512];
-  while (fgets(buffer, sizeof buffer, pipe) != nullptr) {
-    result.output += buffer;
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
-  return result;
+  return esv::cli::run_command(std::string(ESV_VERIFY_BIN) + " " + args);
 }
 
 /// Per property: (verdict, decided-at step; 0 while pending).
@@ -80,13 +67,6 @@ Outcomes parse_single(const std::string& output, std::uint64_t& steps) {
     }
   }
   return outcomes;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 /// Reads seed kSeed's outcomes from a campaign's JSON report.
